@@ -61,6 +61,14 @@ class DMS:
                     f"DMS {self.name}: action {action.name} is defined over a different schema"
                 )
 
+    # Memoised derived values (``_memo_*`` entries of the instance dict,
+    # e.g. the store's content hash) are not fields and never travel in a
+    # pickle: an unpickled system recomputes them on first use.
+    def __getstate__(self) -> dict:
+        return {
+            name: value for name, value in self.__dict__.items() if not name.startswith("_memo_")
+        }
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod

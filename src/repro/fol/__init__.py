@@ -7,7 +7,6 @@ guards (Section 3) and as the atomic formulae ``Q@x`` of MSO-FO (Section 4).
 from repro.fol.active import active_query, fresh_variable_names
 from repro.fol.builder import QueryBuilder
 from repro.fol.evaluator import (
-    QueryEvaluator,
     answers,
     evaluate_sentence,
     iter_answers,
@@ -56,7 +55,6 @@ __all__ = [
     "Or",
     "Query",
     "QueryBuilder",
-    "QueryEvaluator",
     "TrueQuery",
     "active_query",
     "answers",

@@ -5,16 +5,23 @@ answer set ``ans(Q, I)`` and boolean-query evaluation.  Quantifiers range
 over ``adom(I)`` (active-domain semantics), which also matches the
 execution-semantics rule that action parameters are substituted with
 values from the current active domain.
+
+The public entry points run the compiled form of the query
+(:mod:`repro.fol.compiled`).  The recursive interpreter ``_eval`` is the
+reference oracle: :func:`reference_satisfies` and
+:func:`reference_iter_answers` expose it to the differential tests and
+to the frozen seed explorer of :mod:`repro.search.baseline`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.database.domain import Value
 from repro.database.instance import DatabaseInstance
 from repro.database.substitution import Substitution
 from repro.errors import QueryError, SubstitutionError
+from repro.fol.compiled import binding_plan, compiled
 from repro.fol.syntax import (
     And,
     Atom,
@@ -30,7 +37,14 @@ from repro.fol.syntax import (
     TrueQuery,
 )
 
-__all__ = ["satisfies", "answers", "iter_answers", "evaluate_sentence", "QueryEvaluator"]
+__all__ = [
+    "satisfies",
+    "answers",
+    "iter_answers",
+    "evaluate_sentence",
+    "reference_satisfies",
+    "reference_iter_answers",
+]
 
 
 def satisfies(
@@ -47,20 +61,15 @@ def satisfies(
     Raises:
         SubstitutionError: if a free variable of ``Q`` is not bound.
     """
-    bindings = dict(sigma) if sigma is not None else {}
-    missing = query.free_variables() - set(bindings)
-    if missing:
-        raise SubstitutionError(
-            f"free variables {sorted(missing)} of {query} are not bound by {bindings!r}"
-        )
-    return _eval(query, instance, bindings)
+    bindings = _bindings(query, sigma)
+    return compiled(query, instance.schema)(instance, bindings)
 
 
 def evaluate_sentence(query: Query, instance: DatabaseInstance) -> bool:
     """Evaluate a boolean query (``I ⊨ Q``)."""
     if not query.is_sentence():
         raise QueryError(f"{query} is not a sentence; use satisfies() with a substitution")
-    return _eval(query, instance, {})
+    return compiled(query, instance.schema)(instance, {})
 
 
 def iter_answers(query: Query, instance: DatabaseInstance) -> Iterator[Substitution]:
@@ -69,7 +78,43 @@ def iter_answers(query: Query, instance: DatabaseInstance) -> Iterator[Substitut
 
     For a boolean query the iterator yields the empty substitution exactly
     when the query holds (mirroring ``ans(Q, I) = {ε}`` in the paper).
+    Answers come in the lexicographic order of their values (sorted by
+    ``repr``) along the sorted free variables.
     """
+    free = tuple(sorted(query.free_variables()))
+    domain = sorted(instance.active_domain(), key=repr) if free else ()
+    plan = binding_plan(query, free, instance.schema)
+    for binding in plan(instance, domain):
+        yield Substitution(binding)
+
+
+def answers(query: Query, instance: DatabaseInstance) -> frozenset:
+    """``ans(Q, I)`` as a frozen set of :class:`Substitution`."""
+    return frozenset(iter_answers(query, instance))
+
+
+def _bindings(query: Query, sigma: Mapping[str, Value] | None) -> dict[str, Value]:
+    bindings = dict(sigma) if sigma is not None else {}
+    missing = query.free_variables() - bindings.keys()
+    if missing:
+        raise SubstitutionError(
+            f"free variables {sorted(missing)} of {query} are not bound by {bindings!r}"
+        )
+    return bindings
+
+
+# -- the interpreted reference evaluator -------------------------------------
+
+
+def reference_satisfies(
+    instance: DatabaseInstance, query: Query, sigma: Mapping[str, Value] | None = None
+) -> bool:
+    """:func:`satisfies` by the recursive interpreter (the reference oracle)."""
+    return _eval(query, instance, _bindings(query, sigma))
+
+
+def reference_iter_answers(query: Query, instance: DatabaseInstance) -> Iterator[Substitution]:
+    """:func:`iter_answers` by the recursive interpreter (the reference oracle)."""
     free = sorted(query.free_variables())
     if not free:
         if _eval(query, instance, {}):
@@ -77,11 +122,6 @@ def iter_answers(query: Query, instance: DatabaseInstance) -> Iterator[Substitut
         return
     domain = sorted(instance.active_domain(), key=repr)
     yield from _iter_assignments(query, instance, free, domain, {})
-
-
-def answers(query: Query, instance: DatabaseInstance) -> frozenset:
-    """``ans(Q, I)`` as a frozen set of :class:`Substitution`."""
-    return frozenset(iter_answers(query, instance))
 
 
 def _iter_assignments(
@@ -154,36 +194,3 @@ def _lookup(bindings: Mapping[str, Value], variable: str) -> Value:
     except KeyError:
         raise SubstitutionError(f"variable {variable!r} is not bound") from None
 
-
-class QueryEvaluator:
-    """A small façade bundling evaluation entry points for one instance.
-
-    Convenient when many queries are evaluated against the same database
-    instance (e.g. when enumerating action successors).
-    """
-
-    __slots__ = ("_instance",)
-
-    def __init__(self, instance: DatabaseInstance) -> None:
-        self._instance = instance
-
-    @property
-    def instance(self) -> DatabaseInstance:
-        """The database instance queries are evaluated against."""
-        return self._instance
-
-    def satisfies(self, query: Query, sigma: Mapping[str, Value] | None = None) -> bool:
-        """``I, σ ⊨ Q`` for the wrapped instance."""
-        return satisfies(self._instance, query, sigma)
-
-    def answers(self, query: Query) -> frozenset:
-        """``ans(Q, I)`` for the wrapped instance."""
-        return answers(query, self._instance)
-
-    def iter_answers(self, query: Query) -> Iterable[Substitution]:
-        """Iterator form of :meth:`answers`."""
-        return iter_answers(query, self._instance)
-
-    def holds(self, query: Query) -> bool:
-        """Evaluate a sentence against the wrapped instance."""
-        return evaluate_sentence(query, self._instance)

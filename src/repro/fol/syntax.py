@@ -42,12 +42,37 @@ class Query:
     """Base class of FOL(R) query nodes."""
 
     def free_variables(self) -> frozenset:
-        """``Free-Vars(Q)``: the free data variables of the query."""
-        raise NotImplementedError
+        """``Free-Vars(Q)``: the free data variables of the query (memoised per node)."""
+        memo = self.__dict__
+        try:
+            return memo["_memo_free_variables"]
+        except KeyError:
+            result = memo["_memo_free_variables"] = self._free_variables()
+            return result
 
     def variables(self) -> frozenset:
-        """All data variables appearing in the query, free or bound."""
+        """All data variables appearing in the query, free or bound (memoised per node)."""
+        memo = self.__dict__
+        try:
+            return memo["_memo_variables"]
+        except KeyError:
+            result = memo["_memo_variables"] = self._variables()
+            return result
+
+    def _free_variables(self) -> frozenset:
         raise NotImplementedError
+
+    def _variables(self) -> frozenset:
+        raise NotImplementedError
+
+    # Memoised analyses and compiled forms (``_memo_*`` entries of the
+    # instance dict) are not fields, so they stay out of ``__eq__``,
+    # ``__hash__`` and ``str()``.  They hold closures, so they never travel
+    # in a pickle: an unpickled query recomputes them on first use.
+    def __getstate__(self) -> dict:
+        return {
+            name: value for name, value in self.__dict__.items() if not name.startswith("_memo_")
+        }
 
     def relations(self) -> frozenset:
         """All relation names mentioned by the query."""
@@ -99,10 +124,10 @@ class Query:
 class TrueQuery(Query):
     """The query ``true``."""
 
-    def free_variables(self) -> frozenset:
+    def _free_variables(self) -> frozenset:
         return frozenset()
 
-    def variables(self) -> frozenset:
+    def _variables(self) -> frozenset:
         return frozenset()
 
     def relations(self) -> frozenset:
@@ -122,10 +147,10 @@ class TrueQuery(Query):
 class FalseQuery(Query):
     """The derived query ``false`` (= ``¬true``), provided for convenience."""
 
-    def free_variables(self) -> frozenset:
+    def _free_variables(self) -> frozenset:
         return frozenset()
 
-    def variables(self) -> frozenset:
+    def _variables(self) -> frozenset:
         return frozenset()
 
     def relations(self) -> frozenset:
@@ -155,10 +180,10 @@ class Atom(Query):
             if not isinstance(argument, str) or not argument:
                 raise QueryError(f"atom argument {argument!r} must be a variable name")
 
-    def free_variables(self) -> frozenset:
+    def _free_variables(self) -> frozenset:
         return frozenset(self.arguments)
 
-    def variables(self) -> frozenset:
+    def _variables(self) -> frozenset:
         return frozenset(self.arguments)
 
     def relations(self) -> frozenset:
@@ -183,10 +208,10 @@ class Equals(Query):
     left: str
     right: str
 
-    def free_variables(self) -> frozenset:
+    def _free_variables(self) -> frozenset:
         return frozenset({self.left, self.right})
 
-    def variables(self) -> frozenset:
+    def _variables(self) -> frozenset:
         return frozenset({self.left, self.right})
 
     def relations(self) -> frozenset:
@@ -208,10 +233,10 @@ class Not(Query):
 
     operand: Query
 
-    def free_variables(self) -> frozenset:
+    def _free_variables(self) -> frozenset:
         return self.operand.free_variables()
 
-    def variables(self) -> frozenset:
+    def _variables(self) -> frozenset:
         return self.operand.variables()
 
     def relations(self) -> frozenset:
@@ -239,10 +264,10 @@ class _Binary(Query):
 
     _symbol = "?"
 
-    def free_variables(self) -> frozenset:
+    def _free_variables(self) -> frozenset:
         return self.left.free_variables() | self.right.free_variables()
 
-    def variables(self) -> frozenset:
+    def _variables(self) -> frozenset:
         return self.left.variables() | self.right.variables()
 
     def relations(self) -> frozenset:
@@ -302,10 +327,10 @@ class _Quantifier(Query):
         if not self.variable:
             raise QueryError("quantified variable name must be non-empty")
 
-    def free_variables(self) -> frozenset:
+    def _free_variables(self) -> frozenset:
         return self.body.free_variables() - {self.variable}
 
-    def variables(self) -> frozenset:
+    def _variables(self) -> frozenset:
         return self.body.variables() | {self.variable}
 
     def relations(self) -> frozenset:

@@ -12,7 +12,6 @@ A b-bounded configuration is a triple ``⟨I, H, seq_no⟩``; an edge
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from repro.database.domain import FreshValueAllocator, Value
@@ -23,7 +22,8 @@ from repro.dms.configuration import Configuration
 from repro.dms.semantics import apply_action, is_instantiating_substitution
 from repro.dms.system import DMS
 from repro.errors import ExecutionError, RecencyError
-from repro.fol.evaluator import iter_answers, satisfies
+from repro.fol.compiled import binding_plan
+from repro.fol.evaluator import iter_answers
 from repro.recency.recent import recent_elements
 from repro.recency.sequence import SequenceNumbering
 
@@ -247,26 +247,21 @@ def _recent_parameter_bindings(
 
     Every parameter of a b-bounded step must lie in ``Recent_b``, so for
     well-formed actions (guard free variables == parameters) it suffices
-    to test the guard on the ``|Recent_b|^|u⃗|`` candidate bindings
-    instead of materialising all guard answers over the full active
-    domain — ``Recent_b`` has at most ``b`` elements while the active
-    domain keeps growing with the run.  Returns ``None`` when the action
-    is not amenable (non-strict action whose guard mentions other
-    variables), in which case the caller falls back to full guard-answer
-    enumeration.
+    to bind the parameters over ``Recent_b`` instead of materialising all
+    guard answers over the full active domain — ``Recent_b`` has at most
+    ``b`` elements while the active domain keeps growing with the run.
+    The guard's binding plan (:func:`repro.fol.compiled.binding_plan`)
+    tests each conjunct of the guard as soon as its parameters are bound.
+    Returns ``None`` when the action is not amenable (non-strict action
+    whose guard mentions other variables), in which case the caller falls
+    back to full guard-answer enumeration.
     """
     parameters = action.parameters
     if action.guard.free_variables() != set(parameters):
         return None
     instance = configuration.instance
-    if not parameters:
-        return [Substitution.empty()] if satisfies(instance, action.guard, {}) else []
-    candidates = sorted(recent, key=repr)
-    bindings = [
-        Substitution(dict(zip(parameters, combo)))
-        for combo in product(candidates, repeat=len(parameters))
-    ]
-    satisfying = [b for b in bindings if satisfies(instance, action.guard, b)]
+    plan = binding_plan(action.guard, parameters, instance.schema)
+    satisfying = [Substitution(b) for b in plan(instance, sorted(recent, key=repr))]
     # Keep the exact deterministic order of the seed enumeration (sorted
     # guard answers projected onto the parameters).
     satisfying.sort(key=lambda s: repr(sorted(s.items(), key=repr)))

@@ -288,7 +288,12 @@ class ProcessWorkerContext:
                 [worker.result_rx for worker in self._workers], timeout=_POLL_SECONDS
             )
             for connection in ready:
-                worker = next(w for w in self._workers if w.result_rx is connection)
+                worker = next((w for w in self._workers if w.result_rx is connection), None)
+                if worker is None:
+                    # Its worker was replaced (respawned, or killed on a
+                    # timeout) after the wait; ensure_alive() re-queued
+                    # the task, so the stale connection is skipped.
+                    continue
                 try:
                     task_id, value, error = connection.recv()
                 except (EOFError, OSError):

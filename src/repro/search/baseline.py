@@ -26,7 +26,7 @@ from repro.database.domain import FreshValueAllocator
 from repro.database.substitution import Substitution
 from repro.dms.action import Action
 from repro.dms.system import DMS
-from repro.fol.evaluator import iter_answers
+from repro.fol.evaluator import reference_iter_answers
 from repro.recency.semantics import (
     RecencyBoundedRun,
     RecencyConfiguration,
@@ -56,7 +56,7 @@ def seed_enumerate_b_bounded_successors(
     recent = configuration.recent(bound)
     for action in chosen:
         answers = sorted(
-            iter_answers(action.guard, configuration.instance),
+            reference_iter_answers(action.guard, configuration.instance),
             key=lambda s: repr(sorted(s.items(), key=repr)),
         )
         for answer in answers:

@@ -126,8 +126,17 @@ def canonical_system(system: DMS) -> dict:
 
 
 def system_hash(system: DMS) -> str:
-    """The domain-stable content hash of a DMS (name excluded)."""
-    return digest(canonical_system(system))
+    """The domain-stable content hash of a DMS (name excluded).
+
+    Memoised on the (immutable) system object: every isolated or stored
+    query keys its warm worker or store entry by it.
+    """
+    memo = system.__dict__
+    try:
+        return memo["_memo_system_hash"]
+    except KeyError:
+        result = memo["_memo_system_hash"] = digest(canonical_system(system))
+        return result
 
 
 def schema_hash(schema) -> str:

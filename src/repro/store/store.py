@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 import pickle
 import sqlite3
+import threading
 import time
 from pathlib import Path
 
@@ -94,7 +95,7 @@ class ResultStore:
 
     def __init__(self, root: str | Path) -> None:
         self._root = Path(root)
-        self._connections: dict[int, sqlite3.Connection] = {}
+        self._connections: dict[tuple[int, int], sqlite3.Connection] = {}
         self._reset_session()
 
     def _reset_session(self) -> None:
@@ -122,22 +123,29 @@ class ResultStore:
         return self._root / "blobs"
 
     def _connection(self) -> sqlite3.Connection:
+        # One connection per (process, thread): SQLite handles must not be
+        # shared across a fork, and Python's sqlite3 refuses a connection
+        # used from a thread other than the one that opened it.
         pid = os.getpid()
-        connection = self._connections.get(pid)
+        owner = (pid, threading.get_ident())
+        connection = self._connections.get(owner)
         if connection is not None:
             return connection
         self._root.mkdir(parents=True, exist_ok=True)
         connection = sqlite3.connect(self._root / "index.sqlite", timeout=30.0)
         connection.executescript(_SCHEMA)
         connection.commit()
-        # Drop connections inherited from a parent process: SQLite
-        # handles must not be shared across a fork.
-        self._connections = {pid: connection}
+        # Drop connections inherited from a parent process.  No lock: a
+        # lock held by another thread at fork time would stay held in the
+        # child, and single dict operations are atomic already.
+        for key in [key for key in list(self._connections) if key[0] != pid]:
+            self._connections.pop(key, None)
+        self._connections[owner] = connection
         return connection
 
     def close(self) -> None:
-        """Close this process's connection (reopened lazily on next use)."""
-        connection = self._connections.pop(os.getpid(), None)
+        """Close the calling thread's connection (reopened lazily on next use)."""
+        connection = self._connections.pop((os.getpid(), threading.get_ident()), None)
         if connection is not None:
             connection.close()
 
@@ -178,7 +186,7 @@ class ResultStore:
         blob_path = self._blob_path(key)
         blob_path.parent.mkdir(parents=True, exist_ok=True)
         data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        temporary = blob_path.with_name(f"{key}.{os.getpid()}.tmp")
+        temporary = blob_path.with_name(f"{key}.{os.getpid()}-{threading.get_ident()}.tmp")
         temporary.write_bytes(data)
         os.replace(temporary, blob_path)
         connection = self._connection()

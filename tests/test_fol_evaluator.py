@@ -5,7 +5,7 @@ import pytest
 from repro.database.instance import DatabaseInstance, Fact
 from repro.database.substitution import Substitution
 from repro.errors import QueryError, SubstitutionError
-from repro.fol.evaluator import QueryEvaluator, answers, evaluate_sentence, satisfies
+from repro.fol.evaluator import answers, evaluate_sentence, satisfies
 from repro.fol.parser import parse_query
 from repro.fol.syntax import Atom, Equals, Not
 
@@ -78,12 +78,10 @@ def test_answers_negative_query_active_domain_semantics(instance):
     assert result == {"e1"}
 
 
-def test_query_evaluator_facade(instance):
-    evaluator = QueryEvaluator(instance)
-    assert evaluator.holds(parse_query("p"))
-    assert evaluator.satisfies(parse_query("R(u)"), {"u": "e1"})
-    assert len(evaluator.answers(parse_query("R(u)"))) == 2
-    assert evaluator.instance is instance
+def test_module_entry_points(instance):
+    assert evaluate_sentence(parse_query("p"), instance)
+    assert satisfies(instance, parse_query("R(u)"), {"u": "e1"})
+    assert len(answers(parse_query("R(u)"), instance)) == 2
 
 
 def test_implication_and_iff(instance):

@@ -144,6 +144,38 @@ def test_pool_respawns_crashed_worker_and_recovers_results():
 
 
 @needs_fork
+def test_pool_events_skip_connections_of_replaced_workers(monkeypatch):
+    import repro.runtime.pool as pool_module
+
+    real_wait = pool_module.connection_wait
+    replaced = []
+
+    with WorkerPool(workers=2) as pool:
+        context = pool.context("stale", square_measure, workers=2)
+        task_ids = [context.submit({"n": n}) for n in range(2)]
+
+        def wait_then_replace(connections, timeout=None):
+            ready = real_wait(connections, timeout=timeout)
+            if ready and not replaced:
+                # Kill and respawn the worker behind a ready connection
+                # between the wait and the recv.
+                victim = next(w for w in context._workers if w.result_rx is ready[0])
+                replaced.append(victim.process.pid)
+                os.kill(victim.process.pid, signal.SIGKILL)
+                victim.process.join()
+                context.ensure_alive()
+            return ready
+
+        monkeypatch.setattr(pool_module, "connection_wait", wait_then_replace)
+        outcomes = {}
+        for task_id, value, error in context.events():
+            assert error is None, error
+            outcomes[task_id] = value
+        assert replaced and replaced[0] not in context.pids()
+    assert outcomes == {task_ids[n]: {"square": n * n} for n in range(2)}
+
+
+@needs_fork
 def test_pooled_exploration_survives_worker_killed_between_explorations():
     system_successors = dag_successors
     with WorkerPool(workers=2) as pool:

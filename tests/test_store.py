@@ -202,6 +202,16 @@ def test_system_hash_tracks_content_not_name(cycle_system):
         digest(object())  # unkeyable values raise instead of stringifying
 
 
+def test_system_hash_is_memoised_per_system_but_never_pickled(cycle_system):
+    import pickle
+
+    first = system_hash(cycle_system)
+    assert system_hash(cycle_system) is first
+    clone = pickle.loads(pickle.dumps(cycle_system))
+    assert not any(name.startswith("_memo_") for name in vars(clone))
+    assert system_hash(clone) == first
+
+
 # -- invalidation --------------------------------------------------------------
 
 
@@ -334,3 +344,72 @@ def test_store_survives_pickling_as_a_path_holder(tmp_path):
     clone = pickle.loads(pickle.dumps(store))
     assert clone.root == store.root
     assert clone.stats()["entries"] == 0  # the clone opens its own connection
+
+
+# -- threads -------------------------------------------------------------------
+
+
+def test_concurrent_threads_save_and_load_on_one_store(tmp_path):
+    import threading
+
+    store = ResultStore(tmp_path / "store")
+    row = dict(family="f", system_hash="s", schema_hash="c", base_hash="b",
+               graph="dms", parameters="{}")
+    names = ("a", "b", "c", "d")  # more threads than cores
+    start = threading.Barrier(len(names))
+    errors: list[BaseException] = []
+
+    def worker(name: str) -> None:
+        try:
+            start.wait(10)
+            for index in range(25):
+                # One key per thread and one key all threads write.
+                store.save(f"{name}{index}", "result", (name, index), **row)
+                store.save("shared", "result", (name, index), **row)
+                assert store.load(f"{name}{index}") == (name, index)
+                assert store.load("shared")[0] in names
+            store.close()
+        except BaseException as error:  # noqa: BLE001 - reported by the main thread
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(name,)) for name in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(store.keys()) == 25 * len(names) + 1  # no save was lost
+
+
+def test_close_only_closes_the_calling_threads_connection(tmp_path):
+    import threading
+
+    store = ResultStore(tmp_path / "store")
+    opened, closed_elsewhere, done = threading.Event(), threading.Event(), threading.Event()
+    seen: list[int] = []
+
+    def other() -> None:
+        store.stats()
+        opened.set()
+        closed_elsewhere.wait(10)
+        seen.append(store.stats()["entries"])  # still usable from this thread
+        store.close()
+        done.set()
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    assert opened.wait(10)
+    store.stats()
+    store.close()
+    closed_elsewhere.set()
+    assert done.wait(10)
+    thread.join(10)
+    assert not thread.is_alive()
+    assert seen == [0]
+    assert store.stats()["entries"] == 0  # reopened lazily in this thread
