@@ -2,50 +2,32 @@
 
 Runs the same exhaustive reachability search (a predicate that never
 holds) through the plain single-shard engine and through the sharded
-engine (:mod:`repro.search.sharded`) under a ``(shards, workers)`` grid,
-on the booking and warehouse case studies at recency bound 2.  Asserts
-the acceptance criteria of the sharding PR:
+engine (:mod:`repro.search.sharded`) at 2, 4 and 8 shards, on the
+booking and warehouse case studies at recency bound 2, and asserts that
+every sharded run explores a fragment bit-identical to the single-shard
+run (configuration count, edge count, truncation flag) and that a
+reachable condition yields the identical minimal witness.
 
-* every sharded run explores a fragment bit-identical to the
-  single-shard run (configuration count, edge count, truncation flag),
-  and a reachable condition yields the identical minimal witness;
-* on the booking study the 4-worker multiprocessing run is ≥ 1.5×
-  faster than the single-shard engine.
-
-The speedup assertion only makes sense where parallel successor
-expansion can actually run in parallel: the engine is pure CPU-bound
-Python, so on hosts with fewer than 4 usable CPUs (or platforms without
-the fork start method, where the engine falls back to the deterministic
-serial backend) the assertion is skipped while every correctness
-assertion still runs.  Set ``REPRO_BENCH_QUICK=1`` for the shrunken CI
-smoke version, which also skips the timing assertion — wall-clock ratios
-on tiny inputs are noise-dominated.
+Sharded rows expand in-process, so their speedup column records the
+cost of the level-synchronous replay, not a parallel gain; no timing is
+gated.  Multi-process exploration is the two-level distributed engine
+(``python -m repro.harness E14 --nodes 2``, and E17).  Set
+``REPRO_BENCH_QUICK=1`` for the shrunken CI smoke version.
 """
 
 import os
 
 from repro.harness.experiments import experiment_e14_sharded
 from repro.harness.reporting import print_experiment
-from repro.search import process_backend_available, usable_cpu_count
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-PARALLEL_CAPABLE = process_backend_available() and usable_cpu_count() >= 4
 
 
 def test_e14_sharded(benchmark, run_once):
     rows = run_once(benchmark, experiment_e14_sharded, QUICK)
     print_experiment("E14", "Sharded work-stealing exploration vs single-shard engine", rows)
 
-    # Correctness always: every (shards, workers) point explores the same
-    # fragment as the single-shard engine, and witnesses are identical.
+    # Every shard count explores the same fragment as the single-shard
+    # engine, and witnesses are identical.
     for row in rows:
         assert row["results_match"], row
-
-    if not QUICK and PARALLEL_CAPABLE:
-        booking4 = next(
-            row
-            for row in rows
-            if row["case"] == "booking" and row["shards"] == 4 and row["workers"] == 4
-        )
-        assert booking4["backend"] == "process", booking4
-        assert booking4["speedup"] >= 1.5, booking4

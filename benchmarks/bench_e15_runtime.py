@@ -1,14 +1,8 @@
 """E15 — the persistent parallel runtime (warm pools, async sweeps, resume).
 
-Gates the three contracts of :mod:`repro.runtime` (the runtime PR's
-acceptance criteria):
+Gates two contracts of :mod:`repro.runtime` (warm worker contexts are
+gated by E21, which reuses them across service queries):
 
-* **Warm pools beat per-call pools** — repeated sharded exploration of
-  the booking study through one warm :class:`~repro.runtime.WorkerPool`
-  engine must be ≥ 1.3× faster than the per-call-pool baseline (a fresh
-  explorer, and hence a fresh fork+teardown cycle, per exploration).
-  The margin is the pool overhead that used to dominate small
-  explorations.
 * **Parallel sweeps beat sequential sweeps** — an E9-style convergence
   grid (state-space size over the booking study, recency bounds 2–5)
   run through the sweep scheduler at 4 workers must be ≥ 1.5× faster
@@ -18,11 +12,10 @@ acceptance criteria):
   bit-identical to an uninterrupted run, recomputing only the missing
   points.
 
-Row equality is asserted **unconditionally** on every host.  The two
-timing assertions only make sense where the runtime can actually win:
-they are skipped on hosts without the ``fork`` start method, below the
-CPU floors (2 usable CPUs for the warm-pool gate, 4 for the parallel
-gate), or under ``REPRO_BENCH_QUICK=1`` (tiny inputs are
+Row equality is asserted **unconditionally** on every host.  The timing
+assertion only makes sense where the runtime can actually win: it is
+skipped on hosts without the ``fork`` start method, below 4 usable
+CPUs, or under ``REPRO_BENCH_QUICK=1`` (tiny inputs are
 noise-dominated).  Timings and rows persist to
 ``benchmarks/results/BENCH_E15.json`` via the shared ``run_once``
 fixture.
@@ -34,7 +27,7 @@ import time
 from repro.casestudies.booking import booking_agency_system
 from repro.harness.reporting import print_experiment
 from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
-from repro.runtime import SweepCheckpoint, WorkerPool
+from repro.runtime import SweepCheckpoint
 from repro.search import RETAIN_COUNTS, process_backend_available, usable_cpu_count
 from repro.workloads.sweeps import sweep
 
@@ -64,77 +57,6 @@ def _convergence_grid(quick: bool) -> list[dict]:
 
 def _rows(points) -> list[dict]:
     return [point.as_row() for point in points]
-
-
-# -- warm pool vs per-call pool -----------------------------------------------
-
-
-def warm_vs_cold(quick: bool) -> list[dict]:
-    """Repeated sharded exploration: per-call-pool baseline vs warm pool."""
-    repeats = 2 if quick else 6
-    depth, shards, workers = 3, 2, 2
-    limits = RecencyExplorationLimits(max_depth=depth)
-
-    def explore_once(pool=None):
-        explorer = RecencyExplorer(
-            _BOOKING, 2, limits, retention=RETAIN_COUNTS,
-            shards=shards, workers=workers, pool=pool,
-        )
-        result = explorer.explore()
-        if pool is None:
-            explorer.close()  # per-call baseline: tear the backend down every time
-        return result
-
-    reference = RecencyExplorer(_BOOKING, 2, limits, retention=RETAIN_COUNTS).explore()
-    signatures = []
-
-    started = time.perf_counter()
-    for _ in range(repeats):
-        cold_result = explore_once()
-        signatures.append(
-            (cold_result.configuration_count, cold_result.edge_count, cold_result.truncated)
-        )
-    cold_seconds = time.perf_counter() - started
-
-    with WorkerPool(workers=workers) as pool:
-        explore_once(pool)  # spawn the warm workers outside the timed window
-        started = time.perf_counter()
-        for _ in range(repeats):
-            warm_result = explore_once(pool)
-            signatures.append(
-                (warm_result.configuration_count, warm_result.edge_count, warm_result.truncated)
-            )
-        warm_seconds = time.perf_counter() - started
-
-    expected = (reference.configuration_count, reference.edge_count, reference.truncated)
-    return [
-        {
-            "mode": "cold (pool per exploration)",
-            "repeats": repeats,
-            "depth": depth,
-            "seconds": round(cold_seconds, 4),
-            "speedup": 1.0,
-            "results_match": all(signature == expected for signature in signatures),
-        },
-        {
-            "mode": "warm (persistent WorkerPool)",
-            "repeats": repeats,
-            "depth": depth,
-            "seconds": round(warm_seconds, 4),
-            "speedup": round(cold_seconds / warm_seconds, 2) if warm_seconds else None,
-            "results_match": all(signature == expected for signature in signatures),
-        },
-    ]
-
-
-def test_e15_warm_pool_vs_cold_pool(benchmark, run_once):
-    rows = run_once(benchmark, warm_vs_cold, QUICK)
-    print_experiment("E15", "Warm worker pool vs per-call pool", rows)
-    for row in rows:
-        assert row["results_match"], row
-    if not QUICK and FORK and CPUS >= 2:
-        warm = rows[1]
-        assert warm["speedup"] >= 1.3, warm
 
 
 # -- parallel sweep vs sequential sweep ---------------------------------------

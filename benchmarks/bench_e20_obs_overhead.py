@@ -12,13 +12,12 @@ Gates the telemetry PR's acceptance criteria over booking expansion:
   absolute epsilon so sub-millisecond quick-mode runs cannot flap on
   scheduler jitter.  ``overhead_ok`` is asserted **unconditionally** —
   quick mode included.
-* **Folded counters reconcile exactly** — a 4-worker sharded run with a
-  registry installed must produce counters that agree with the final
+* **Counters reconcile exactly** — a 4-shard run with a registry
+  installed must produce counters that agree with the final
   :class:`~repro.search.engine.SearchResult` identically: states
   interned, edges retained, and per-level flushes matching
   ``len(result.levels()) - 1`` (``counters_reconcile``, asserted
-  unconditionally; falls back to 1 worker where fork is unavailable,
-  which exercises the same flush points).
+  unconditionally).
 
 Timings and rows persist to ``benchmarks/results/BENCH_E20.json`` via
 the shared ``run_once`` fixture and are wired into the CI bench-trend
@@ -35,7 +34,7 @@ from repro.recency.semantics import (
     enumerate_b_bounded_successors,
     initial_recency_configuration,
 )
-from repro.search import Engine, SearchLimits, ShardedEngine, process_backend_available
+from repro.search import Engine, SearchLimits, ShardedEngine
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -121,15 +120,13 @@ def telemetry_overhead(quick: bool) -> list[dict]:
 
 
 def counter_reconciliation(quick: bool) -> list[dict]:
-    """A 4-worker sharded booking run whose folded counters must reconcile."""
+    """A 4-shard booking run whose per-level counters must reconcile."""
     bound, depth = (1, 4) if quick else (2, 5)
-    workers = 4 if process_backend_available() else 1
     registry = MetricsRegistry()
     engine = ShardedEngine(
         _successors(bound),
         limits=SearchLimits(max_depth=depth),
         shards=4,
-        workers=workers,
         metrics=registry,
     )
     started = time.perf_counter()
@@ -146,7 +143,7 @@ def counter_reconciliation(quick: bool) -> list[dict]:
     )
     return [
         {
-            "mode": f"sharded 4x{workers}, folded counters",
+            "mode": "sharded 4 shards, level-flushed counters",
             "b": bound,
             "max_depth": depth,
             "configurations": result.state_count,

@@ -79,12 +79,11 @@ def main() -> None:
 
     # 4. The same reachability question through the sharded engine: interned
     #    configurations are hash-partitioned across 4 work-stealing shards
-    #    (workers > 1 would batch successor expansion across processes), and
-    #    the merged result — verdict, statistics, witness — is bit-identical
-    #    to the single-shard exploration of step 2.
+    #    (nodes > 1 would spread them over node agent processes), and the
+    #    merged result — verdict, statistics, witness — is bit-identical to
+    #    the single-shard exploration of step 2.
     sharded = proposition_reachable_bounded(
-        system, parse_query("exists t. Closed(t)"), bound=2, max_depth=4,
-        shards=4, workers=1,
+        system, parse_query("exists t. Closed(t)"), bound=2, max_depth=4, shards=4,
     )
     assert sharded.found == closed_reachable.found
     assert sharded.configurations_explored == closed_reachable.configurations_explored

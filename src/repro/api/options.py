@@ -3,14 +3,14 @@
 :class:`ExplorationOptions` gathers the knobs that the explorers, the
 reachability queries and the convergence sweeps used to re-declare
 individually: limits, frontier strategy, edge retention, and the
-sharding/worker/node execution shape.  The facade
+shard/node execution shape.  The facade
 (:func:`repro.api.run_reachability`, :class:`repro.api.Session`) and the
 service layer pass one options value around instead of a dozen keyword
 arguments; the legacy keyword surfaces build an options value and
 delegate.
 
-Execution-shape knobs (``shards``/``workers``/``shared_interning``/
-``nodes``/``transport``) never change verdicts or witnesses — they are
+Execution-shape knobs (``shards``/``nodes``/``transport``) never change
+verdicts or witnesses — they are
 excluded from store keys for exactly that reason — so two options values
 differing only there describe the same query.
 """
@@ -45,9 +45,6 @@ class ExplorationOptions:
             queries: one spanning-tree edge per configuration), ``"full"``
             or ``"counts-only"``.
         shards: hash partitions of the sharded engine.
-        workers: successor-expansion worker processes per exploration.
-        shared_interning: ship intern ids instead of pickled
-            configurations over expansion pipes (``None`` = auto).
         nodes: node agents of the two-level distributed engine.
         transport: distributed transport (``None``/``"tcp"``/a
             :class:`repro.distributed.Coordinator`).
@@ -60,8 +57,6 @@ class ExplorationOptions:
     heuristic: Callable | None = None
     retention: str = RETAIN_PARENTS
     shards: int = 1
-    workers: int = 1
-    shared_interning: bool | None = None
     nodes: int = 1
     transport: object = None
 
@@ -73,7 +68,7 @@ class ExplorationOptions:
         reach the engine, so it gates the store's subgraph capture and
         delta verification exactly as the legacy entry points did.
         """
-        return self.shards == 1 and self.workers == 1 and self.nodes == 1
+        return self.shards == 1 and self.nodes == 1
 
     def replace(self, **changes) -> "ExplorationOptions":
         """A copy with ``changes`` applied (the dataclass is frozen)."""

@@ -82,7 +82,6 @@ def run_reachability(
     *,
     bound: int | None = None,
     options: ExplorationOptions | None = None,
-    pool=None,
     store=None,
     on_state: Callable[[object, int], None] | None = None,
 ) -> ReachabilityResult:
@@ -96,9 +95,6 @@ def run_reachability(
             b-bounded graph at that recency bound.
         options: every exploration knob (defaults to
             :class:`ExplorationOptions`).
-        pool: a :class:`repro.runtime.WorkerPool` lending warm expansion
-            workers to sharded explorations (single-shard explorations
-            expand in-process and ignore it).
         store: content-addressed result store — a path, a
             :class:`repro.store.ResultStore`, ``False`` to disable,
             ``None`` to consult ``REPRO_STORE``.
@@ -128,9 +124,6 @@ def run_reachability(
                 heuristic=options.heuristic,
                 retention=options.retention,
                 shards=options.shards,
-                workers=options.workers,
-                pool=pool,
-                shared_interning=options.shared_interning,
                 nodes=options.nodes,
                 transport=options.transport,
                 successors=successors,
@@ -154,9 +147,6 @@ def run_reachability(
                 heuristic=options.heuristic,
                 retention=options.retention,
                 shards=options.shards,
-                workers=options.workers,
-                pool=pool,
-                shared_interning=options.shared_interning,
                 nodes=options.nodes,
                 transport=options.transport,
                 successors=successors,

@@ -11,9 +11,8 @@ a context manager.
 Two execution paths serve a query:
 
 * :meth:`run_reachability` — **inline**: the exploration runs on the
-  calling thread, sharing the session's store (and, for sharded
-  options, its warm expansion workers).  Thread-safe; many threads may
-  query concurrently.
+  calling thread, sharing the session's store.  Thread-safe; many
+  threads may query concurrently.
 * :meth:`run_reachability_isolated` — **pooled**: the whole query runs
   on a warm worker process forked once per ``(system, graph)`` context
   and reused across calls.  A ``timeout`` is enforced by killing the
@@ -137,13 +136,6 @@ class Session:
         # environment mid-session.
         return self._store if self._store is not None else False
 
-    def _exploration_pool(self, options: ExplorationOptions):
-        # Explorations borrow warm expansion workers only where the
-        # engine would otherwise fork its own (sharded, single-node).
-        if options.nodes == 1 and (options.shards > 1 or options.workers > 1):
-            return self.pool
-        return None
-
     def _lock_for(self, key) -> threading.Lock:
         with self._guard:
             lock = self._context_locks.get(key)
@@ -164,9 +156,8 @@ class Session:
     ) -> ReachabilityResult:
         """Run a reachability query inline, on the calling thread.
 
-        Shares the session's store and (for sharded options) its warm
-        expansion workers; see :func:`repro.api.run_reachability` for
-        argument semantics.  Thread-safe.
+        Shares the session's store; see :func:`repro.api.run_reachability`
+        for argument semantics.  Thread-safe.
         """
         self._ensure_open()
         effective = options or self._options
@@ -178,7 +169,6 @@ class Session:
                 condition,
                 bound=bound,
                 options=effective,
-                pool=self._exploration_pool(effective),
                 store=self._effective_store(),
                 on_state=on_state,
             )
@@ -208,7 +198,7 @@ class Session:
         travel to a warm worker through the flat parameter dict.
         """
         self._ensure_open()
-        effective = (options or self._options).replace(shards=1, workers=1, nodes=1)
+        effective = (options or self._options).replace(shards=1, nodes=1)
         if effective.heuristic is not None:
             raise ModelCheckingError(
                 "isolated queries cannot carry a search heuristic; "
@@ -286,7 +276,7 @@ class Session:
         options: ExplorationOptions | None = None,
         on_point=None,
     ):
-        """Sweep the recency bound, sharing the session's store and pool.
+        """Sweep the recency bound, sharing the session's store.
 
         Delegates to
         :func:`repro.modelcheck.convergence.reachability_bound_sweep`;
@@ -306,9 +296,6 @@ class Session:
             heuristic=effective.heuristic,
             retention=effective.retention,
             shards=effective.shards,
-            workers=effective.workers,
-            pool=self._exploration_pool(effective),
-            shared_interning=effective.shared_interning,
             nodes=effective.nodes,
             transport=effective.transport,
             store=self._effective_store(),
@@ -327,7 +314,7 @@ class Session:
 
         Delegates to
         :func:`repro.modelcheck.convergence.convergence_bound` with the
-        session's store and pool.
+        session's store.
         """
         self._ensure_open()
         from repro.modelcheck.convergence import convergence_bound
@@ -341,9 +328,6 @@ class Session:
             strategy=effective.strategy,
             heuristic=effective.heuristic,
             shards=effective.shards,
-            workers=effective.workers,
-            pool=self._exploration_pool(effective),
-            shared_interning=effective.shared_interning,
             nodes=effective.nodes,
             transport=effective.transport,
             store=self._effective_store(),

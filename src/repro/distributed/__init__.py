@@ -3,10 +3,11 @@
 This package lifts the exploration engine's single-machine memory
 ceiling: instead of one global intern table on the coordinator
 (:mod:`repro.search.sharded`), every **node agent** owns the intern
-table, shared-memory state store and partial
-:class:`~repro.search.engine.SearchResult` of its hash-partition of the
-state space, and the coordinator keeps only frontier *references* and
-counters.  Per-node partials are reconciled through the associative
+table and partial :class:`~repro.search.engine.SearchResult` of its
+hash-partition of the state space, and the coordinator keeps only
+frontier *references* and counters.  It is the library's one
+multi-process exploration design: each agent expands its share
+in-process.  Per-node partials are reconciled through the associative
 :meth:`SearchResult.merge <repro.search.engine.SearchResult.merge>`,
 which re-keys parent links across node-local id spaces.
 
@@ -18,7 +19,7 @@ The moving parts:
   ``hello``/``lease`` handshake, ping/pong heartbeats;
 * :class:`~repro.distributed.agent.NodeAgent` — serves expansion,
   probe/commit and collection frames; reuses the sharded engine's
-  frontiers and expansion backends node-locally;
+  frontiers and in-process expansion node-locally;
 * :class:`~repro.distributed.coordinator.DistributedEngine` — the
   level-synchronous protocol whose results are **bit-identical** to
   single-node, single-shard BFS;

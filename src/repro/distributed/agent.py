@@ -1,15 +1,14 @@
 """The node side of the two-level distributed exploration.
 
 A :class:`NodeAgent` owns one node's share of the exploration state —
-its **own** :class:`~repro.search.interning.InternTable` (mirrored into
-a node-local :class:`~repro.search.shm_interning.SharedStateStore` when
-the node expands on worker processes), the partial
+its **own** :class:`~repro.search.interning.InternTable`, the partial
 :class:`~repro.search.engine.SearchResult` of the hash-partition it
-owns, and a node-local expansion backend reusing the sharded engine's
-machinery (:class:`~repro.search.sharded.ShardFrontiers` with tail-half
-stealing across ``local_shards`` queues, serial or fork-multiprocessing
-expansion).  The coordinator never holds these states; that is what
-moves the intern-table memory ceiling from one machine to the cluster.
+owns, and the sharded engine's in-process expansion machinery
+(:class:`~repro.search.sharded.ShardFrontiers` with tail-half stealing
+across ``local_shards`` queues, drained by
+:class:`~repro.search.sharded.SerialExpansionBackend`).  The coordinator
+never holds these states; that is what moves the intern-table memory
+ceiling from one machine to the cluster.
 
 The agent serves the coordinator's frames in arrival order on its main
 thread.  A small **receiver thread** answers latency-sensitive frames —
@@ -40,14 +39,7 @@ from repro.errors import DistributedError
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.search.engine import SearchResult
 from repro.search.interning import InternTable
-from repro.search.sharded import (
-    ProcessExpansionBackend,
-    SerialExpansionBackend,
-    ShardFrontiers,
-    process_backend_available,
-    shard_of,
-)
-from repro.search.shm_interning import SharedInternTable, SharedStateStore
+from repro.search.sharded import SerialExpansionBackend, ShardFrontiers, shard_of
 
 __all__ = ["NodeAgent", "run_agent"]
 
@@ -77,11 +69,8 @@ class NodeAgent:
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._index = 0
         self._local_shards = 1
-        self._local_workers = 1
         self._batch_size = 16
-        self._shared_interning: bool | None = None
-        self._backend = None
-        self._store: SharedStateStore | None = None
+        self._backend: SerialExpansionBackend | None = None
         self._table: InternTable | None = None
         self._partial: SearchResult | None = None
         self._keep_parents = True
@@ -122,7 +111,6 @@ class NodeAgent:
                         "error", {"message": f"{type(error).__name__}: {error}"}
                     )
         finally:
-            self._close_backend()
             self._channel.close()
 
     def _receive_loop(self) -> None:
@@ -173,9 +161,7 @@ class NodeAgent:
         """Bind the node index, expansion config and successor function."""
         self._index = lease["node"]
         self._local_shards = max(1, lease.get("local_shards", 1))
-        self._local_workers = max(1, lease.get("local_workers", 1))
         self._batch_size = max(1, lease.get("batch_size", 16))
-        self._shared_interning = lease.get("shared_interning")
         self._metrics = MetricsRegistry() if lease.get("metrics") else NULL_REGISTRY
         context = lease.get("context")
         if context is not None:
@@ -185,55 +171,22 @@ class NodeAgent:
                 "the lease carried no exploration context and the agent was not "
                 "forked with a successor function"
             )
-        self._ensure_backend()
-
-    def _ensure_backend(self):
-        """The node-local expansion backend (created once per lease).
-
-        Mirrors :meth:`repro.search.sharded.ShardedEngine._backend`: a
-        fork pool when more than one local worker was asked for and fork
-        exists, the deterministic serial backend otherwise.  The store —
-        when the pool forks and shared memory is available — carries the
-        node's id-only expansion traffic and backs the node table.
-        """
-        if self._backend is None:
-            if self._local_workers > 1 and process_backend_available():
-                store = None
-                if self._shared_interning is not False:
-                    store = SharedStateStore.create(slots=self._local_workers + 4)
-                self._backend = ProcessExpansionBackend(
-                    self._successors, self._local_workers, store=store
-                )
-                self._store = store
-            else:
-                self._backend = SerialExpansionBackend(self._successors)
-                self._store = None
-        return self._backend
-
-    def _close_backend(self) -> None:
-        backend, self._backend = self._backend, None
-        self._store = None
-        if backend is not None:
-            try:
-                backend.close()
-            except Exception:  # noqa: BLE001 - teardown must never raise
-                pass
+        self._backend = SerialExpansionBackend(self._successors)
 
     def _handle_lease(self, data: dict) -> None:
-        """Re-lease mid-session: rebind config/context, recycle the backend.
+        """Re-lease mid-session: rebind config/context and the backend.
 
         A long-lived coordinator serves successive engines (different
-        systems, bounds or local configurations); each re-lease tears
-        the node-local expansion backend and store down so the next
-        exploration runs with exactly the leased semantics.
+        systems, bounds or local configurations); each re-lease rebinds
+        the node-local expansion backend so the next exploration runs
+        with exactly the leased semantics.
         """
-        self._close_backend()
         self._apply_lease(data)
         self._channel.send("ready", {"node": self._index})
 
     def _handle_reset(self, data: dict) -> None:
         """Start a fresh exploration: new node table, new empty partial."""
-        self._table = SharedInternTable(self._store) if self._store is not None else InternTable()
+        self._table = InternTable()
         self._keep_parents = data["keep_parents"]
         if self._metrics.enabled:
             self._metrics = MetricsRegistry()  # counters are per-exploration
@@ -258,35 +211,23 @@ class NodeAgent:
         Entries are ``(ref, local_id, state)``: a state this node owns
         resolves through its table (``local_id``), a stolen state from a
         straggler arrives inline (``state``).  Expansion reuses the
-        sharded engine's shard queues, stealing policy and backends —
-        including id-only traffic through the node's own store.
+        sharded engine's shard queues and stealing policy.
         """
         table = self._table
-        store = self._store
         frontiers = ShardFrontiers(self._local_shards)
         for ref, local_id, state in data["entries"]:
             if local_id is not None:
                 state = table.state_of(local_id)
-            if store is not None:
-                shared_id = (
-                    table.shared_id_of(local_id)
-                    if local_id is not None and isinstance(table, SharedInternTable)
-                    else None
-                )
-                inline = state if shared_id is None else None
-                entry = (ref, shared_id, inline)
-            else:
-                entry = (ref, state)
-            frontiers.push(shard_of(state, self._local_shards), entry)
+            frontiers.push(shard_of(state, self._local_shards), (ref, state))
         if self._metrics.enabled:
             started = perf_counter()
-            expansions = self._ensure_backend().expand(frontiers, self._batch_size)
+            expansions = self._backend.expand(frontiers, self._batch_size)
             self._metrics.histogram("node_expand_seconds").observe(perf_counter() - started)
             self._metrics.counter("node_edges_total").inc(
                 sum(len(edges) for edges in expansions.values())
             )
         else:
-            expansions = self._ensure_backend().expand(frontiers, self._batch_size)
+            expansions = self._backend.expand(frontiers, self._batch_size)
         self._channel.send("expanded", {"results": list(expansions.items())})
 
     def _handle_probe(self, data: dict) -> None:
@@ -348,10 +289,9 @@ class NodeAgent:
     # -- result collection -------------------------------------------------------
 
     def _handle_collect(self, data: dict) -> None:
-        """Ship the node partial (detached from any shared store)."""
+        """Ship the node partial; its dense local ids travel verbatim."""
         self._channel.send(
-            "partial",
-            {"result": self._detached_partial(), "metrics": self._metrics.snapshot()},
+            "partial", {"result": self._partial, "metrics": self._metrics.snapshot()}
         )
 
     def _handle_summarize(self, data: dict) -> None:
@@ -365,30 +305,6 @@ class NodeAgent:
                 "truncated": partial.truncated,
                 "metrics": self._metrics.snapshot(),
             },
-        )
-
-    def _detached_partial(self) -> SearchResult:
-        """A picklable copy of the partial over a plain intern table.
-
-        A :class:`SharedInternTable` is a view of a local shared-memory
-        segment and cannot cross the wire; re-interning in discovery
-        order preserves every dense local id, so parent links and depths
-        keep their meaning verbatim.
-        """
-        partial = self._partial
-        table = InternTable()
-        for state in partial.interning.states():
-            table.intern(state)
-        return SearchResult(
-            initial=partial.initial,
-            interning=table,
-            edges=list(partial.edges),
-            edge_count=partial.edge_count,
-            depth_reached=partial.depth_reached,
-            truncated=partial.truncated,
-            parents=dict(partial.parents),
-            retention=partial.retention,
-            depths=dict(partial.depths),
         )
 
     _HANDLERS = {

@@ -179,7 +179,7 @@ class Coordinator:
         ``context`` is ``None`` for fork-launched agents, which already
         inherited the successor closure; external agents require one.
         May be called again with a different config/context — agents
-        recycle their expansion backend and rebind, so one long-lived
+        rebind their expansion backend, so one long-lived
         coordinator can serve successive engines (each engine re-leases
         exactly when :attr:`lease_state` differs from what it needs).
         """
@@ -276,11 +276,8 @@ class DistributedEngine:
         retention: edge-retention mode.
         strategy: must be ``"bfs"`` (the scheme is level-synchronous).
         local_shards: per-node shard queues for batch composition.
-        local_workers: per-node expansion processes (1 = in-process).
-        batch_size: states per expansion task, as for the sharded engine.
-        shared_interning: per-node id-only expansion traffic knob
-            (``None`` = auto, exactly as node-locally sharded engines
-            decide it).
+        batch_size: states per expansion batch; the coordinator leases
+            level refs to nodes in chunks of this size.
         transport: ``None``/``"tcp"`` fork a localhost cluster owned by
             the engine; a :class:`Coordinator` with accepted agents is
             borrowed and left running on :meth:`close`.
@@ -307,9 +304,7 @@ class DistributedEngine:
         retention: str = RETAIN_FULL,
         strategy: str = "bfs",
         local_shards: int = 1,
-        local_workers: int = 1,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        shared_interning: bool | None = None,
         transport: Any = None,
         context: ExplorationContext | None = None,
         retries: int = 1,
@@ -332,9 +327,7 @@ class DistributedEngine:
         self._limits = limits or SearchLimits()
         self._retention = retention
         self._local_shards = max(1, local_shards)
-        self._local_workers = max(1, local_workers)
         self._batch_size = max(1, batch_size)
-        self._shared_interning = shared_interning
         self._transport = transport
         self._context = context
         self._retries = retries
@@ -366,9 +359,7 @@ class DistributedEngine:
         return {
             "nodes": self._nodes,
             "local_shards": self._local_shards,
-            "local_workers": self._local_workers,
             "batch_size": self._batch_size,
-            "shared_interning": self._shared_interning,
             "metrics": resolve_metrics(self._metrics).enabled,
         }
 
@@ -627,6 +618,9 @@ class DistributedEngine:
         if predicate is not None and predicate(initial):
             run["hit"] = (initial, None)
             return run
+        if run["states_total"] >= limits.max_configurations:
+            run["truncated"] = True
+            return run
 
         level: list[tuple[int, int]] = [(root_owner, root_local)]
         depth = 0
@@ -666,14 +660,13 @@ class DistributedEngine:
         Returns ``{ref: [edges]}`` for every ref of the level.
         """
         handles = coordinator.handles
-        chunk_size = self._batch_size * self._local_workers
         own: dict[int, deque] = {handle.index: deque() for handle in handles}
         grouped: dict[int, list] = {handle.index: [] for handle in handles}
         for ref in level:
             grouped[ref[0]].append(ref)
         for index, refs in grouped.items():
-            for start in range(0, len(refs), chunk_size):
-                own[index].append(refs[start : start + chunk_size])
+            for start in range(0, len(refs), self._batch_size):
+                own[index].append(refs[start : start + self._batch_size])
         total = sum(len(queue) for queue in own.values())
         ready: dict[int, deque] = {handle.index: deque() for handle in handles}
         expanding: set[int] = set()

@@ -695,27 +695,26 @@ def experiment_e13_engine(quick: bool = False, *, parallel: int = 1) -> list[dic
 # -- E14: sharded work-stealing exploration vs the single-shard engine ---------------------------------------
 
 def experiment_e14_sharded(
-    quick: bool = False, *, parallel: int = 1, pool=None, nodes: int = 1, transport=None
+    quick: bool = False, *, parallel: int = 1, nodes: int = 1, transport=None
 ) -> list[dict]:
     """Sharded exploration (:mod:`repro.search.sharded`) against the 1-shard engine.
 
     For the booking and warehouse case studies at recency bound 2, the
     same exhaustive predicate search (a condition that never holds — the
     reachability worst case) runs through the plain single-shard engine
-    and through the sharded engine under a ``(shards, workers)`` grid.
-    Each sharded row records the expansion backend used (``process``
-    when the fork-based pool is available and ``workers > 1``, else the
-    deterministic ``serial`` fallback), wall-clock seconds, the speedup
-    over the single-shard run and whether the explored fragment matches
-    the single-shard one bit-for-bit (configuration count, edge count,
-    truncation flag).  A final witness row checks that a *reachable*
-    condition yields the identical minimal witness through both paths.
+    and through the sharded engine at 2, 4 and 8 shards.  Each row
+    records the backend used (``in-process`` for the single-shard
+    engine, ``serial`` for in-process sharded expansion), wall-clock
+    seconds, the speedup over the single-shard run and whether the
+    explored fragment matches the single-shard one bit-for-bit
+    (configuration count, edge count, truncation flag).  A final witness
+    row checks that a *reachable* condition yields the identical minimal
+    witness through both paths.
 
     ``quick`` shrinks the depths for CI smoke runs.  The grid executes
     on the sweep scheduler; ``parallel`` overlaps its points (counts
     stay bit-identical, but per-point seconds then overlap — keep the
-    default when speedup numbers matter), and ``pool`` lends warm
-    expansion workers to sequential runs.  With ``nodes > 1`` a final
+    default when speedup numbers matter).  With ``nodes > 1`` a final
     row replays the booking exploration on the two-level distributed
     engine (``--nodes`` on the CLI; ``transport`` may be a
     :class:`repro.distributed.Coordinator` with externally started
@@ -727,12 +726,11 @@ def experiment_e14_sharded(
     from repro.fol.syntax import Atom, Exists
     from repro.workloads.sweeps import sweep
 
-    grid = ((1, 1), (4, 1), (4, 2), (4, 4))
+    shard_counts = (1, 2, 4, 8)
     cases = [
         ("booking", booking_agency_system(), 2, 4 if quick else 6),
         ("warehouse", warehouse_system(), 2, 6 if quick else 12),
     ]
-    exploration_pool = pool if parallel <= 1 else None
     rows = []
     for name, system, bound, depth in cases:
         never = lambda configuration: False  # noqa: E731 - exhaustive search
@@ -744,8 +742,6 @@ def experiment_e14_sharded(
                 RecencyExplorationLimits(max_depth=depth),
                 retention=RETAIN_PARENTS,
                 shards=parameters["shards"],
-                workers=parameters["workers"],
-                pool=exploration_pool,
             )
             backend = explorer.backend_name
             started = time.perf_counter()
@@ -760,12 +756,8 @@ def experiment_e14_sharded(
                 "seconds": seconds,
             }
 
-        points = sweep(
-            [{"shards": shards, "workers": workers} for shards, workers in grid],
-            measure,
-            parallel=parallel,
-        )
-        baseline = points[0].measurements  # grid order: (1, 1) is always first
+        points = sweep([{"shards": shards} for shards in shard_counts], measure, parallel=parallel)
+        baseline = points[0].measurements  # grid order: 1 shard is always first
         for point in points:
             measured = point.measurements
             rows.append(
@@ -774,7 +766,6 @@ def experiment_e14_sharded(
                     "bound": bound,
                     "depth": depth,
                     "shards": point.parameters["shards"],
-                    "workers": point.parameters["workers"],
                     "backend": measured["backend"],
                     "configurations": measured["configurations"],
                     "edges": measured["edges"],
@@ -798,9 +789,7 @@ def experiment_e14_sharded(
     booking = booking_agency_system()
     condition = Exists("x_state", Atom("OAvail", ("x_state",)))
     reference = query_reachable_bounded(booking, condition, bound=2, max_depth=4)
-    sharded = query_reachable_bounded(
-        booking, condition, bound=2, max_depth=4, shards=4, workers=2
-    )
+    sharded = query_reachable_bounded(booking, condition, bound=2, max_depth=4, shards=4)
     witnesses_equal = (
         reference.found
         and sharded.found
@@ -812,7 +801,6 @@ def experiment_e14_sharded(
             "bound": 2,
             "depth": 4,
             "shards": 4,
-            "workers": 2,
             "backend": "-",
             "configurations": sharded.configurations_explored,
             "edges": sharded.edges_explored,
@@ -850,7 +838,6 @@ def experiment_e14_sharded(
                 "bound": bound,
                 "depth": depth,
                 "shards": 1,
-                "workers": 1,
                 "backend": backend,
                 "configurations": result.configuration_count,
                 "edges": result.edge_count,

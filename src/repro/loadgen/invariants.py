@@ -28,15 +28,10 @@ from typing import Callable, Mapping
 from repro.api import ExplorationOptions, run_reachability
 from repro.fol.parser import parse_query
 from repro.loadgen.driver import LoadReport, RequestOutcome
-from repro.service.sessions import DEFAULT_CASE_STUDIES
+from repro.service.sessions import DEFAULT_CASE_STUDIES, decode_bound, decode_options
 from repro.service.testing import AsgiClient
 
 __all__ = ["InvariantReport", "check_invariants", "request_totals"]
-
-#: Exploration knobs replayed payloads may carry (mirrors the service's
-#: request decoding).
-_INT_KNOBS = ("max_depth", "max_configurations", "max_steps")
-_STR_KNOBS = ("strategy", "retention")
 
 #: The query the post-soak health probe issues.
 _PROBE = {
@@ -82,19 +77,6 @@ class InvariantReport:
         }
 
 
-def _payload_options(payload: Mapping) -> ExplorationOptions:
-    """The exploration options a payload's knobs select (service decoding)."""
-    changes: dict = {}
-    for knob in _INT_KNOBS:
-        if knob in payload:
-            changes[knob] = int(payload[knob])
-    for knob in _STR_KNOBS:
-        if knob in payload:
-            changes[knob] = str(payload[knob])
-    options = ExplorationOptions()
-    return options.replace(**changes) if changes else options
-
-
 def _payload_condition(payload: Mapping):
     if "condition" in payload:
         return parse_query(str(payload["condition"]))
@@ -133,10 +115,9 @@ def _verify_verdicts(
                 continue
             system = systems[name] = factory()
         condition = _payload_condition(outcome.payload)
-        options = _payload_options(outcome.payload)
+        options = decode_options(outcome.payload, ExplorationOptions())
         if outcome.endpoint == "reachability":
-            bound = outcome.payload.get("bound")
-            bound = None if bound is None else int(bound)
+            bound = decode_bound(outcome.payload.get("bound"))
             expected = run_reachability(
                 system, condition, bound=bound, options=options, store=False
             )

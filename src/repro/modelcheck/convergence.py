@@ -11,11 +11,8 @@ The bound sweeps are grids of independent points, so both sweep
 functions execute through the runtime's
 :class:`~repro.runtime.scheduler.SweepScheduler`: ``parallel=`` runs
 points concurrently on forked workers, ``checkpoint=``/``resume=``
-persist completed points to a JSONL memo and resume interrupted sweeps,
-and ``pool=`` lends warm expansion workers to the explorations of a
-*sequential* sweep (a parent pool is never used from inside forked
-point workers).  Rows are identical regardless of parallelism or
-completion order.
+persist completed points to a JSONL memo and resume interrupted sweeps.
+Rows are identical regardless of parallelism or completion order.
 
 Every sweep additionally accepts ``store=`` (a path, a
 :class:`repro.store.ResultStore`, ``False`` to disable; ``None``
@@ -78,9 +75,6 @@ def reachability_bound_sweep(
     heuristic=None,
     retention: str = RETAIN_PARENTS,
     shards: int = 1,
-    workers: int = 1,
-    pool=None,
-    shared_interning: bool | None = None,
     nodes: int = 1,
     transport=None,
     store=None,
@@ -96,20 +90,19 @@ def reachability_bound_sweep(
     ``strategy`` (with its ``heuristic`` for ``"best-first"``) and
     ``retention`` are passed through to the exploration engine; the
     default keeps only parent links, so sweeping large bounds does not
-    hold every edge in memory.  ``shards``/``workers`` select the
-    sharded engine for each point of the sweep (bit-identical verdicts;
-    any-shard truncation reports ``UNKNOWN``, never ``FAILS``).
+    hold every edge in memory.  ``shards`` selects the sharded engine
+    and ``nodes`` the distributed one for each point of the sweep
+    (bit-identical verdicts; any-shard truncation reports ``UNKNOWN``,
+    never ``FAILS``).
 
     ``parallel`` runs the bounds concurrently through the sweep
     scheduler; ``checkpoint``/``resume`` memoise completed bounds.  The
     memo is content-keyed on what determines the result — sweep kind,
     system, condition, bound, depth, strategy, heuristic (by qualified
-    name) and retention, but not ``shards``/``workers``, which never
+    name) and retention, but not ``shards``/``nodes``, which never
     change results — so a shared checkpoint file cannot serve one
-    query's rows to another.  ``pool`` lends warm expansion workers to
-    sequential sweeps only.  ``on_point`` streams each completed bound.
+    query's rows to another.  ``on_point`` streams each completed bound.
     """
-    exploration_pool = pool if parallel <= 1 else None
     # Resolve once so forked point workers inherit a fork-safe store
     # object (per-process connections) instead of re-resolving the
     # environment per point.
@@ -121,8 +114,7 @@ def reachability_bound_sweep(
         result = query_reachable_bounded(
             system, condition, parameters["b"], max_depth=max_depth,
             strategy=strategy, heuristic=heuristic, retention=retention,
-            shards=shards, workers=workers, pool=exploration_pool,
-            shared_interning=shared_interning, nodes=nodes, transport=transport,
+            shards=shards, nodes=nodes, transport=transport,
             store=exploration_store if exploration_store is not None else False,
         )
         return {
@@ -169,9 +161,6 @@ def state_space_bound_sweep(
     heuristic=None,
     retention: str = RETAIN_COUNTS,
     shards: int = 1,
-    workers: int = 1,
-    pool=None,
-    shared_interning: bool | None = None,
     nodes: int = 1,
     transport=None,
     store=None,
@@ -186,7 +175,7 @@ def state_space_bound_sweep(
 
     Only sizes are reported, so the sweep defaults to the engine's
     ``"counts-only"`` retention: no edge objects are held in memory.
-    ``shards``/``workers`` select the sharded engine per point;
+    ``shards``/``nodes`` select the sharded/distributed engine per point;
     ``parallel``/``checkpoint``/``resume`` schedule the points as in
     :func:`reachability_bound_sweep`, with the memo content-keyed the
     same way.  ``store`` serves repeat points from the content-addressed
@@ -195,7 +184,6 @@ def state_space_bound_sweep(
     from repro.recency.semantics import enumerate_b_bounded_successors
     from repro.store.service import cached_compute, resolve_store
 
-    exploration_pool = pool if parallel <= 1 else None
     exploration_store = resolve_store(store)
 
     def measure(parameters: dict) -> dict:
@@ -206,13 +194,12 @@ def state_space_bound_sweep(
             explorer = RecencyExplorer(
                 system, bound, effective,
                 strategy=strategy, heuristic=heuristic, retention=retention,
-                shards=shards, workers=workers, pool=exploration_pool,
-                shared_interning=shared_interning, nodes=nodes, transport=transport,
+                shards=shards, nodes=nodes, transport=transport,
                 successors=successors,
             )
             return explorer.explore()
 
-        single_shard = shards == 1 and workers == 1 and nodes == 1
+        single_shard = shards == 1 and nodes == 1
         result, _ = cached_compute(
             store=exploration_store if exploration_store is not None else False,
             system=system,
@@ -282,9 +269,6 @@ def convergence_bound(
     strategy: str = "bfs",
     heuristic=None,
     shards: int = 1,
-    workers: int = 1,
-    pool=None,
-    shared_interning: bool | None = None,
     nodes: int = 1,
     transport=None,
     store=None,
@@ -294,22 +278,19 @@ def convergence_bound(
 
     Returns ``None`` when no bound up to ``max_bound`` agrees — which, for
     exhaustive exploration depths, indicates the behaviour of interest
-    genuinely needs a deeper recency window.  ``shards``/``workers``
-    select the sharded engine for every exploration of the scan,
-    ``pool`` keeps its expansion workers warm across the whole scan,
-    and ``store`` serves the scan's queries from the content-addressed
-    result store.
+    genuinely needs a deeper recency window.  ``shards``/``nodes``
+    select the sharded/distributed engine for every exploration of the
+    scan, and ``store`` serves the scan's queries from the
+    content-addressed result store.
     """
     reference = query_reachable(
         system, condition, max_depth=max_depth, strategy=strategy, heuristic=heuristic,
-        shards=shards, workers=workers, pool=pool, shared_interning=shared_interning,
-        nodes=nodes, transport=transport, store=store,
+        shards=shards, nodes=nodes, transport=transport, store=store,
     )
     for bound in range(max_bound + 1):
         bounded = query_reachable_bounded(
             system, condition, bound, max_depth=max_depth, strategy=strategy,
-            heuristic=heuristic, shards=shards, workers=workers, pool=pool,
-            shared_interning=shared_interning, nodes=nodes, transport=transport,
+            heuristic=heuristic, shards=shards, nodes=nodes, transport=transport,
             store=store,
         )
         if bounded.reachable == reference.reachable:

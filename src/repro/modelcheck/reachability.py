@@ -21,9 +21,9 @@ both returning three-valued
     through :class:`repro.api.Session`.
 
 Everything documented here — the truncation contract (a cut-short
-exploration reports ``UNKNOWN``, never ``FAILS``), ``pool=`` lending
-warm expansion workers to sharded queries, ``shared_interning=``,
-``nodes=``/``transport=`` lifting a query onto the distributed engine,
+exploration reports ``UNKNOWN``, never ``FAILS``), ``shards=`` selecting
+the sharded engine, ``nodes=``/``transport=`` lifting a query onto the
+distributed engine,
 and ``store=`` serving repeat queries bit-identically from the
 content-addressed result store — holds unchanged; the semantics live in
 :mod:`repro.api.query`.
@@ -73,9 +73,6 @@ def query_reachable(
     heuristic: Callable | None = None,
     retention: str = RETAIN_PARENTS,
     shards: int = 1,
-    workers: int = 1,
-    pool=None,
-    shared_interning: bool | None = None,
     nodes: int = 1,
     transport=None,
     store=None,
@@ -94,12 +91,10 @@ def query_reachable(
         heuristic=heuristic,
         retention=retention,
         shards=shards,
-        workers=workers,
-        shared_interning=shared_interning,
         nodes=nodes,
         transport=transport,
     )
-    return run_reachability(system, condition, bound=None, options=options, pool=pool, store=store)
+    return run_reachability(system, condition, bound=None, options=options, store=store)
 
 
 def proposition_reachable(
@@ -112,9 +107,6 @@ def proposition_reachable(
     heuristic: Callable | None = None,
     retention: str = RETAIN_PARENTS,
     shards: int = 1,
-    workers: int = 1,
-    pool=None,
-    shared_interning: bool | None = None,
     nodes: int = 1,
     transport=None,
     store=None,
@@ -133,9 +125,6 @@ def proposition_reachable(
         heuristic=heuristic,
         retention=retention,
         shards=shards,
-        workers=workers,
-        pool=pool,
-        shared_interning=shared_interning,
         nodes=nodes,
         transport=transport,
         store=store,
@@ -153,9 +142,6 @@ def query_reachable_bounded(
     heuristic: Callable | None = None,
     retention: str = RETAIN_PARENTS,
     shards: int = 1,
-    workers: int = 1,
-    pool=None,
-    shared_interning: bool | None = None,
     nodes: int = 1,
     transport=None,
     store=None,
@@ -174,12 +160,10 @@ def query_reachable_bounded(
         heuristic=heuristic,
         retention=retention,
         shards=shards,
-        workers=workers,
-        shared_interning=shared_interning,
         nodes=nodes,
         transport=transport,
     )
-    return run_reachability(system, condition, bound=bound, options=options, pool=pool, store=store)
+    return run_reachability(system, condition, bound=bound, options=options, store=store)
 
 
 def proposition_reachable_bounded(
@@ -193,9 +177,6 @@ def proposition_reachable_bounded(
     heuristic: Callable | None = None,
     retention: str = RETAIN_PARENTS,
     shards: int = 1,
-    workers: int = 1,
-    pool=None,
-    shared_interning: bool | None = None,
     nodes: int = 1,
     transport=None,
     store=None,
@@ -215,9 +196,6 @@ def proposition_reachable_bounded(
         heuristic=heuristic,
         retention=retention,
         shards=shards,
-        workers=workers,
-        pool=pool,
-        shared_interning=shared_interning,
         nodes=nodes,
         transport=transport,
         store=store,

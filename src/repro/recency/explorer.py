@@ -105,26 +105,15 @@ class RecencyExplorer:
             the best-first strategy.
         retention: edge-retention mode — ``"full"`` (default),
             ``"parents-only"`` or ``"counts-only"``.
-        shards: hash partitions of the sharded engine; with ``shards`` or
-            ``workers`` above 1 the exploration runs level-synchronously
-            sharded (``"bfs"`` only) with results bit-identical to the
+        shards: hash partitions of the sharded engine; with ``shards``
+            above 1 the exploration runs level-synchronously sharded
+            (``"bfs"`` only) with results bit-identical to the
             single-shard engine (see :mod:`repro.search.sharded`).
-        workers: successor-expansion processes (1 = in-process serial).
-        pool: a :class:`repro.runtime.WorkerPool` to borrow warm
-            expansion workers from.  The pool context is keyed by
-            ``(system, bound)``, so explorer instances over the same
-            case-study context share the same warm workers.
-        shared_interning: ship intern ids instead of pickled
-            configurations over the expansion pipes
-            (:mod:`repro.search.shm_interning`).  Default ``None``
-            (auto): on exactly when expansion runs on worker processes
-            and shared memory is available; the in-process fallback is
-            always off.  Results are bit-identical either way.
         nodes: with ``nodes > 1`` the exploration runs two-level
             distributed (:mod:`repro.distributed`): each node agent
-            owns the intern table of its hash-partition and
-            ``shards``/``workers`` become per-node local configuration.
-            Results stay bit-identical; ``pool`` is ignored.
+            owns the intern table of its hash-partition and ``shards``
+            becomes the per-node local shard count.  Results stay
+            bit-identical.
         transport: ``None``/``"tcp"`` fork a localhost TCP cluster;
             pass a :class:`repro.distributed.Coordinator` to use
             externally started agents (the explorer ships them a
@@ -135,9 +124,9 @@ class RecencyExplorer:
             Single-shard in-process explorations only.
 
     The underlying engine is created once per explorer, so successive
-    explorations through one explorer reuse the same expansion backend
-    (warm worker processes).  The explorer is a context manager;
-    :meth:`close` releases the backend.
+    distributed explorations through one explorer reuse the same node
+    agents.  The explorer is a context manager; :meth:`close` releases
+    them.
     """
 
     def __init__(
@@ -150,19 +139,16 @@ class RecencyExplorer:
         heuristic: Callable[[RecencyConfiguration, int], object] | None = None,
         retention: str = RETAIN_FULL,
         shards: int = 1,
-        workers: int = 1,
-        pool=None,
-        shared_interning: bool | None = None,
         nodes: int = 1,
         transport=None,
         successors: Callable | None = None,
     ) -> None:
-        if successors is not None and (shards > 1 or workers > 1 or nodes > 1):
+        if successors is not None and (shards > 1 or nodes > 1):
             from repro.errors import SearchError
 
             raise SearchError(
                 "a successors override applies to single-shard in-process "
-                "explorations only (shards == workers == nodes == 1)"
+                "explorations only (shards == nodes == 1)"
             )
         self._successors_override = successors
         self._system = system
@@ -172,9 +158,6 @@ class RecencyExplorer:
         self._heuristic = heuristic
         self._retention = retention
         self._shards = shards
-        self._workers = workers
-        self._pool = pool
-        self._shared_interning = shared_interning
         self._nodes = nodes
         self._transport = transport
         self._engine_instance = None
@@ -210,29 +193,16 @@ class RecencyExplorer:
         return self._shards
 
     @property
-    def workers(self) -> int:
-        """Number of successor-expansion workers."""
-        return self._workers
-
-    @property
     def nodes(self) -> int:
         """Number of distributed node agents (1 = this process only)."""
         return self._nodes
 
     @property
     def backend_name(self) -> str:
-        """The expansion backend explorations will use.
-
-        ``"in-process"`` for the single-shard engine, ``"serial"`` or
-        ``"process"`` for the sharded engine's fallback/multiprocessing
-        backends, ``"distributed"`` across node agents.
-        """
+        """How explorations run: ``"in-process"`` on the single-shard
+        engine, ``"serial"`` sharded in-process, ``"distributed"`` across
+        node agents."""
         return getattr(self._engine(), "backend_name", "in-process")
-
-    @property
-    def shared_interning(self) -> bool:
-        """Whether explorations move ids instead of pickled states."""
-        return getattr(self._engine(), "shared_interning", False)
 
     def _engine(self):
         if self._engine_instance is not None:
@@ -241,7 +211,7 @@ class RecencyExplorer:
         successors = lambda configuration: enumerate_b_bounded_successors(  # noqa: E731
             system, configuration, bound
         )
-        if self._shards > 1 or self._workers > 1 or self._nodes > 1:
+        if self._shards > 1 or self._nodes > 1:
             context = None
             if self._nodes > 1:
                 from repro.distributed.context import RecencyContext
@@ -253,10 +223,6 @@ class RecencyExplorer:
                 strategy=self._strategy,
                 retention=self._retention,
                 shards=self._shards,
-                workers=self._workers,
-                pool=self._pool if self._nodes == 1 else None,
-                pool_key=("recency", id(system), bound) if self._pool is not None else None,
-                shared_interning=self._shared_interning,
                 nodes=self._nodes,
                 transport=self._transport,
                 context=context,
@@ -272,7 +238,7 @@ class RecencyExplorer:
         return self._engine_instance
 
     def close(self) -> None:
-        """Release the engine's expansion backend (idempotent)."""
+        """Release the engine's distributed cluster, if any (idempotent)."""
         engine, self._engine_instance = self._engine_instance, None
         if engine is not None and hasattr(engine, "close"):
             engine.close()

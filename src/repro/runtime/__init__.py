@@ -6,10 +6,8 @@ it owns long-lived execution resources and the operational concerns of
 running many explorations, where the engine owns a single exploration.
 
 * :class:`~repro.runtime.pool.WorkerPool` — warm fork-based worker
-  contexts reused across explorations and sweeps, health-checked, with
-  crashed workers respawned and their tasks re-run.  The sharded engine
-  borrows expansion backends from it instead of paying a fork+teardown
-  cycle per ``explore()`` call.
+  contexts reused across sweeps and isolated queries, health-checked,
+  with crashed workers respawned and their tasks re-run.
 * :class:`~repro.runtime.scheduler.SweepScheduler` — executes sweep and
   experiment grids concurrently on the pool with bounded parallelism,
   per-point timeout/retry, and results that are identical regardless of
@@ -37,7 +35,6 @@ from repro.errors import SchedulerError, WorkerPoolError
 from repro.runtime.checkpoint import SweepCheckpoint, canonical_parameters, point_key
 from repro.runtime.pool import (
     DEFAULT_POOL_WORKERS,
-    PooledExpansionBackend,
     ProcessWorkerContext,
     SerialWorkerContext,
     WorkerPool,
@@ -47,7 +44,6 @@ from repro.runtime.scheduler import PointRecord, SweepScheduler
 __all__ = [
     "DEFAULT_POOL_WORKERS",
     "PointRecord",
-    "PooledExpansionBackend",
     "ProcessWorkerContext",
     "SchedulerError",
     "SerialWorkerContext",

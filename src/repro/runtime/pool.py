@@ -1,14 +1,14 @@
 """Persistent warm worker pools.
 
-The sharded engine's :class:`~repro.search.sharded.ProcessExpansionBackend`
-pays a full ``fork`` + pool-teardown cycle per exploration; experiment
-sweeps pay it once per sweep *point*.  A :class:`WorkerPool` amortises
-that cost: fork-based workers are spawned **once per context** — a
-``(key, function)`` pair such as one case study's successor closure, or
-one sweep's measure function — and stay warm across successive
-explorations and sweeps.  Contexts are health-checked and crashed
-workers are respawned lazily, with their in-flight tasks resubmitted, so
-a killed worker never loses results.
+Experiment sweeps, isolated service queries and parallel grids run
+*independent* tasks — whole sweep points or whole queries — on worker
+processes.  A :class:`WorkerPool` amortises the fork cost: worker
+processes are spawned **once per context** — a ``(key, function)`` pair
+such as one sweep's measure function, or one case study's isolated
+query function — and stay warm across successive sweeps and queries.
+Contexts are health-checked and crashed workers are respawned lazily,
+with their in-flight tasks resubmitted, so a killed worker never loses
+results.
 
 The pool executes *pure* functions: a task may be executed more than
 once (after a crash, or when a timeout races completion), and the first
@@ -32,23 +32,8 @@ Two context kinds share one API (``submit`` / ``events``):
   closures), payloads and results cross the pipes pickled.
 * :class:`SerialWorkerContext` — the deterministic in-process fallback,
   used when fork is unavailable or one worker was requested.  Results
-  are bit-identical either way: the sharded engine's replay (and the
-  scheduler's grid ordering) fix the result independently of *where*
-  work ran.
-
-``WorkerPool.expansion_backend`` adapts a context to the expansion
-backend protocol of :class:`~repro.search.sharded.ShardedEngine`
-(``expand``/``close``); ``close()`` on the adapter *releases* the
-context (it stays warm in the pool) instead of tearing workers down —
-only :meth:`WorkerPool.shutdown` does that.
-
-Expansion contexts that fork processes also lease a shared-memory state
-store (:mod:`repro.search.shm_interning`): its segment name is baked
-into the workers at fork time, each worker owns one writer slot (slot
-``index + 1``; crash-respawned replacements re-attach to the same slot),
-and the segment is unlinked exactly when the context dies —
-``release()``, ``close()``/``shutdown()``, the last auto-key lease drop,
-or the pid-guarded GC finalizer.
+  are bit-identical either way: the scheduler's grid ordering fixes the
+  result independently of *where* work ran.
 """
 
 from __future__ import annotations
@@ -60,26 +45,14 @@ import time
 import weakref
 from collections import deque
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import WorkerPoolError
 from repro.obs.metrics import resolve_metrics
-from repro.search.shm_interning import (
-    EncodedExpansion,
-    SharedStateStore,
-    set_process_writer_slot,
-    shared_memory_available,
-)
-from repro.search.sharded import (
-    _drain_batches,
-    expand_shared_batch,
-    process_backend_available,
-    usable_cpu_count,
-)
+from repro.search.sharded import process_backend_available, usable_cpu_count
 
 __all__ = [
     "DEFAULT_POOL_WORKERS",
-    "PooledExpansionBackend",
     "ProcessWorkerContext",
     "SerialWorkerContext",
     "WorkerPool",
@@ -92,19 +65,13 @@ DEFAULT_POOL_WORKERS = max(1, min(4, usable_cpu_count()))
 _POLL_SECONDS = 0.05
 
 
-def _worker_main(fn: Callable, task_rx, result_tx, writer_slot: int | None = None) -> None:
+def _worker_main(fn: Callable, task_rx, result_tx) -> None:
     """The body of one warm worker process.
 
     Serves ``(task_id, payload)`` items from its private task pipe until
     the ``None`` shutdown sentinel (or pipe EOF) arrives, answering
     ``(task_id, value, error)`` on its private result pipe.
-
-    ``writer_slot`` is the shared-state-store slot this process may
-    append to (one slot per worker index, so slots are single-writer
-    even across crash-respawn generations).
     """
-    if writer_slot is not None:
-        set_process_writer_slot(writer_slot)
     while True:
         try:
             item = task_rx.recv()
@@ -129,11 +96,11 @@ class _Worker:
 
     __slots__ = ("process", "task_tx", "result_rx", "current", "sent_at")
 
-    def __init__(self, fn: Callable, mp_context, writer_slot: int | None = None) -> None:
+    def __init__(self, fn: Callable, mp_context) -> None:
         task_rx, self.task_tx = mp_context.Pipe(duplex=False)
         self.result_rx, result_tx = mp_context.Pipe(duplex=False)
         self.process = mp_context.Process(
-            target=_worker_main, args=(fn, task_rx, result_tx, writer_slot), daemon=True
+            target=_worker_main, args=(fn, task_rx, result_tx), daemon=True
         )
         self.process.start()
         # The parent's copies of the child ends must be closed so the
@@ -193,21 +160,13 @@ class ProcessWorkerContext:
         """Ensure at least ``workers`` live workers (never shrinks)."""
         self.ensure_alive()
         while len(self._workers) < workers:
-            # Writer slot = worker index + 1 (slot 0 is the coordinator),
-            # so shared-store appends stay single-writer per slot.
-            self._workers.append(
-                _Worker(self._fn, self._mp, writer_slot=len(self._workers) + 1)
-            )
+            self._workers.append(_Worker(self._fn, self._mp))
 
     def ensure_alive(self) -> list[int]:
         """Replace dead workers; returns the pids that had died.
 
         A dead worker's in-flight task goes back to the front of the
         backlog, so a crash costs a re-execution, never a lost result.
-        The replacement inherits the dead worker's index and therefore
-        its shared-store writer slot: it re-attaches the same segment,
-        recovers the committed cursor and overwrites any unpublished
-        tail the crash left behind.
         """
         dead_pids = []
         for index, worker in enumerate(self._workers):
@@ -216,7 +175,7 @@ class ProcessWorkerContext:
                 if worker.current is not None and worker.current[0] in self._pending:
                     self._backlog.appendleft(worker.current)
                 worker.discard()
-                self._workers[index] = _Worker(self._fn, self._mp, writer_slot=index + 1)
+                self._workers[index] = _Worker(self._fn, self._mp)
         if dead_pids:
             resolve_metrics(self._metrics).counter("pool_respawns_total").inc(len(dead_pids))
         return dead_pids
@@ -267,8 +226,7 @@ class ProcessWorkerContext:
         """Yield ``(task_id, value, error)`` for every outstanding task.
 
         Completion order is whatever the workers produce; callers that
-        need determinism order by task id (the scheduler) or replay in
-        discovery order (the sharded engine).  Crashed workers are
+        need determinism order by task id (the scheduler).  Crashed workers are
         respawned and their tasks re-run transparently; a task running
         longer than ``task_timeout`` seconds has its worker killed and is
         reported with a ``"timeout: ..."`` error instead.
@@ -445,105 +403,13 @@ class SerialWorkerContext:
         self._queue.clear()
 
 
-def _expansion_fn(successors: Callable[[Any], Iterable], store_name: str | None = None) -> Callable:
-    """The per-batch expansion function a pooled context executes.
-
-    The function handles both traffic shapes, so one warm context can
-    serve engines with shared interning on *and* off: classic batches
-    (``(state_id, state)`` entries) expand inline and return plain
-    pairs; id-only batches (3-tuple entries) resolve states through the
-    shared store named at context creation and return an
-    :class:`~repro.search.shm_interning.EncodedExpansion` blob.
-    """
-
-    def expand_batch(batch: list):
-        if batch and len(batch[0]) == 3:
-            if store_name is None:
-                raise WorkerPoolError("id-only expansion batch without a shared store")
-            return expand_shared_batch(successors, batch, store_name)
-        return [(state_id, list(successors(state))) for state_id, state in batch]
-
-    return expand_batch
-
-
-class PooledExpansionBackend:
-    """Adapter from a warm worker context to the sharded-engine backend API.
-
-    Satisfies the same ``expand(frontiers, batch_size)`` / ``close()``
-    protocol as :class:`~repro.search.sharded.ProcessExpansionBackend`.
-    For contexts leased under a caller-provided semantic key,
-    ``close()`` merely releases the lease — the workers stay warm in
-    their :class:`WorkerPool` for the next exploration; auto-keyed
-    contexts (keyed by closure identity, unreachable once the backend is
-    gone) are torn down on ``close()`` or garbage collection instead.
-    """
-
-    def __init__(self, context, release_finalizer=None, store=None) -> None:
-        self._context = context
-        # The engine reads shared_store to decide whether this backend
-        # moves ids (a SharedStateStore leased with the context) or
-        # pickled states (None).
-        self.shared_store = store
-        # A weakref.finalize releasing the pool lease: single-fire, so
-        # close() and GC cannot double-release, and detached once run —
-        # a later collection can never tear down a successor context
-        # re-registered under the same (reused) key.
-        self._finalizer = release_finalizer
-
-    @property
-    def name(self) -> str:
-        """``"pooled"`` on warm processes, ``"pooled-serial"`` on the fallback."""
-        return "pooled" if self._context.kind == "process" else "pooled-serial"
-
-    def worker_pids(self) -> tuple[int, ...]:
-        """Pids of the warm workers serving this backend."""
-        return self._context.pids()
-
-    def expand(self, frontiers, batch_size: int) -> dict:
-        """Expand every queued state on the warm workers; ``{state_id: [edges]}``."""
-        context = self._context
-        context.reset()  # shed any bookkeeping an abandoned consumer left behind
-        context.ensure_alive()
-        for batch in _drain_batches(frontiers, batch_size):
-            context.submit(batch)
-        expansions: dict = {}
-        failure: str | None = None
-        # Drain *every* event even when one errors: leaving tasks pending
-        # would leak them into the next exploration through this context.
-        for _, value, error in context.events():
-            if error is not None:
-                failure = failure or error
-            elif failure is None:
-                if isinstance(value, EncodedExpansion):
-                    if self.shared_store is None:
-                        raise WorkerPoolError(
-                            "received an id-encoded expansion without a shared store"
-                        )
-                    value = self.shared_store.loads(value.payload)
-                for state_id, edges in value:
-                    expansions[state_id] = edges
-        if failure is not None:
-            raise WorkerPoolError(f"pooled successor expansion failed: {failure}")
-        return expansions
-
-    def close(self) -> None:
-        """Release the lease (idempotent).
-
-        For auto-keyed contexts this drops one lease — the context is
-        torn down when the *last* backend sharing it closes; semantic
-        contexts stay warm until :meth:`WorkerPool.release`/``shutdown``.
-        """
-        if self._finalizer is not None:
-            self._finalizer()  # runs at most once, then stays detached
-
-
 class WorkerPool:
     """A registry of warm worker contexts, keyed by what they compute.
 
     One pool instance typically lives for a whole experiment session.
-    Explorations borrow expansion backends with
-    :meth:`expansion_backend`; the sweep scheduler borrows generic
-    contexts with :meth:`context`.  Contexts are created on first use —
+    The sweep scheduler (and through it :class:`repro.api.Session`'s
+    isolated queries) borrows contexts with :meth:`context`.  Contexts
+    are created on first use —
     forking then, so the workers inherit the context function and
     whatever it closes over — and reused on every later request with the
     same key.  **The key must determine the function's semantics**: two
@@ -574,15 +440,11 @@ class WorkerPool:
         self._use_processes = use_processes
         self._metrics = metrics
         self._contexts: dict = {}
-        self._leases: dict = {}  # auto-keyed context -> outstanding backend leases
-        self._stores: dict = {}  # context key -> SharedStateStore (same lifetime)
         self._closed = False
-        # Registry mutations (context creation/upgrade, lease counting,
-        # release) are serialised so concurrent sessions may share one
-        # pool; reentrant because release() runs under _release_lease's
-        # hold, and a GC-triggered finalizer may fire mid-creation.
-        self._registry_lock = threading.RLock()
-        self._finalizer = weakref.finalize(self, _shutdown_pool, self._contexts, self._stores)
+        # Registry mutations (context creation/upgrade, release) are
+        # serialised so concurrent sessions may share one pool.
+        self._registry_lock = threading.Lock()
+        self._finalizer = weakref.finalize(self, _shutdown_pool, self._contexts)
 
     def uses_processes(self, workers: int | None = None) -> bool:
         """Whether a context with ``workers`` workers would fork processes."""
@@ -623,95 +485,6 @@ class WorkerPool:
             self._contexts[key] = created
             return created
 
-    def expansion_backend(
-        self,
-        successors: Callable[[Any], Iterable],
-        *,
-        key: Any = None,
-        workers: int | None = None,
-        shared_interning: bool | None = None,
-    ) -> PooledExpansionBackend:
-        """Borrow a warm expansion backend for ``successors``.
-
-        Without an explicit ``key`` the context is keyed by the identity
-        of the successor callable — warm while that closure's backend
-        lives (an engine, an explorer) and torn down when the backend is
-        closed or garbage collected, so anonymous leases cannot
-        accumulate worker processes.  Pass a semantic key such as
-        ``("recency", id(system), bound)`` to share warmth across
-        explorer instances over the same context instead; semantic
-        contexts live until :meth:`release` or :meth:`shutdown`.
-
-        ``shared_interning`` selects id-only expansion traffic through a
-        :class:`~repro.search.shm_interning.SharedStateStore` leased
-        with the context (default auto: on whenever the context forks
-        worker processes and shared memory is available).  The store is
-        created *with* the context — its segment name is baked into the
-        forked workers — lives exactly as long as it, and is unlinked by
-        :meth:`release`, :meth:`shutdown` or the lease protocol's last
-        drop, so a warm context serves engines with the knob on and off
-        alike.
-        """
-        auto = key is None
-        context_key = ("expand", id(successors)) if auto else key
-        with self._registry_lock:
-            store = self._store_for(context_key, workers)
-            backend = PooledExpansionBackend(
-                self.context(
-                    context_key,
-                    _expansion_fn(successors, store.name if store is not None else None),
-                    workers,
-                ),
-                store=store if shared_interning is not False else None,
-            )
-            if auto:
-                # Auto contexts are lease-counted: several backends over the
-                # same closure share one context, torn down when the last
-                # lease is dropped (by close() or by garbage collection).
-                self._leases[context_key] = self._leases.get(context_key, 0) + 1
-                backend._finalizer = weakref.finalize(backend, self._release_lease, context_key)
-        return backend
-
-    def _store_for(self, context_key: Any, workers: int | None) -> SharedStateStore | None:
-        """The shared state store living with ``context_key``'s context.
-
-        Created eagerly whenever the context will fork processes (the
-        segment name must exist before the fork bakes it into the
-        workers); slab pages are allocated lazily by the kernel, so an
-        unused store costs address space only.  ``None`` where processes
-        or shared memory are unavailable.
-        """
-        count = workers or self._default_workers
-        if not self.uses_processes(count) or not shared_memory_available():
-            return None
-        store = self._stores.get(context_key)
-        if store is not None:
-            return store
-        # A store is only honoured when it was created *together with*
-        # its context: a warm process context forked without a store has
-        # store_name=None baked into its workers, so handing it a
-        # late-created store would turn the graceful pickled fallback
-        # into hard failures on id-only batches.
-        existing = self._contexts.get(context_key)
-        if existing is not None and not (
-            isinstance(existing, SerialWorkerContext) and self.uses_processes(count)
-        ):
-            return None  # warm context without a store (or not upgrading): stay pickled
-        # Slot 0 is the coordinator; headroom beyond the requested
-        # worker count covers later grow() calls and crash-respawned
-        # replacements (a worker whose index outruns the slots degrades
-        # to read-only, which only costs inline traffic, never
-        # correctness).
-        slots = max(count, self._default_workers) + 3
-        store = SharedStateStore.create(slots=slots)
-        if store is not None:
-            self._stores[context_key] = store
-        return store
-
-    def shared_store(self, key: Any) -> SharedStateStore | None:
-        """The store leased with ``key``'s context, if any."""
-        return self._stores.get(key)
-
     # -- health and lifecycle --------------------------------------------------
 
     def keys(self) -> tuple:
@@ -733,31 +506,13 @@ class WorkerPool:
     def release(self, key: Any) -> bool:
         """Tear down the context registered under ``key`` (if any).
 
-        Unconditional — outstanding leases on an auto-keyed context are
-        forfeited.  The context's shared state store (when one was
-        leased with it) is unlinked after the workers stop.  Returns
-        whether a context was released; tolerant of unknown keys.
+        Returns whether a context was released; tolerant of unknown keys.
         """
         with self._registry_lock:
-            self._leases.pop(key, None)
             context = self._contexts.pop(key, None)
-            store = self._stores.pop(key, None)
         if context is not None:
             context.shutdown()
-        if store is not None:
-            store.destroy()
         return context is not None
-
-    def _release_lease(self, key: Any) -> None:
-        """Drop one auto-key lease; tear the context down on the last one."""
-        with self._registry_lock:
-            outstanding = self._leases.get(key)
-            if outstanding is None:
-                return  # context already force-released or shut down
-            if outstanding > 1:
-                self._leases[key] = outstanding - 1
-                return
-        self.release(key)
 
     def _context_of(self, key: Any):
         context = self._contexts.get(key)
@@ -766,11 +521,10 @@ class WorkerPool:
         return context
 
     def shutdown(self) -> None:
-        """Stop every context's workers and unlink every leased segment;
-        the pool cannot be reused."""
+        """Stop every context's workers; the pool cannot be reused."""
         self._closed = True
         self._finalizer.detach()
-        _shutdown_pool(self._contexts, self._stores)
+        _shutdown_pool(self._contexts)
 
     def close(self) -> None:
         """Alias of :meth:`shutdown` (context-manager symmetry)."""
@@ -783,21 +537,11 @@ class WorkerPool:
         self.shutdown()
 
 
-def _shutdown_pool(contexts: dict, stores: dict) -> None:
-    """Best-effort teardown shared by ``shutdown()`` and the GC finalizer.
-
-    Workers stop before their segments are unlinked, so no worker ever
-    observes a vanished store mid-expansion.
-    """
+def _shutdown_pool(contexts: dict) -> None:
+    """Best-effort teardown shared by ``shutdown()`` and the GC finalizer."""
     while contexts:
         _, context = contexts.popitem()
         try:
             context.shutdown()
-        except Exception:  # noqa: BLE001 - teardown must never raise
-            pass
-    while stores:
-        _, store = stores.popitem()
-        try:
-            store.destroy()
         except Exception:  # noqa: BLE001 - teardown must never raise
             pass

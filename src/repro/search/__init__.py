@@ -44,21 +44,14 @@ Sharded exploration
 
 :class:`~repro.search.sharded.ShardedEngine` runs the ``"bfs"`` strategy
 sharded: interned ids are hash-partitioned across per-level frontiers
-with work stealing, successor expansion is batched across worker
-processes (``workers > 1`` uses a fork-based multiprocessing pool, with
-a deterministic serial fallback), and per-shard partial results are
-folded with the associative :meth:`~repro.search.engine.SearchResult.merge`.
-Results are bit-identical to the single-shard engine's — including
-witnesses and truncation flags (any truncated shard truncates the
-merge, which reachability reports as ``UNKNOWN``, never ``FAILS``).
-
-Process-backed expansion traffic is **id-only** by default: states are
-interned into a shared-memory slab
-(:mod:`repro.search.shm_interning`) and only intern ids cross the
-worker pipes, deserializing each configuration at most once per
-process.  The ``shared_interning=`` knob forces it on/off; hosts
-without ``multiprocessing.shared_memory`` fall back to pickled traffic
-with identical results.
+with work stealing, successors are expanded in-process batch by batch,
+and per-shard partial results are folded with the associative
+:meth:`~repro.search.engine.SearchResult.merge`.  Results are
+bit-identical to the single-shard engine's — including witnesses and
+truncation flags (any truncated shard truncates the merge, which
+reachability reports as ``UNKNOWN``, never ``FAILS``).  ``nodes > 1``
+lifts the same exploration onto the two-level distributed engine
+(:mod:`repro.distributed`), the one multi-process exploration design.
 
 See ``src/repro/search/README.md`` for the full design notes,
 ``docs/architecture.md`` for the layering and sharding design, and
@@ -85,13 +78,7 @@ from repro.search.frontier import (
     make_frontier,
 )
 from repro.search.interning import InternTable
-from repro.search.shm_interning import (
-    SharedInternTable,
-    SharedStateStore,
-    shared_memory_available,
-)
 from repro.search.sharded import (
-    ProcessExpansionBackend,
     SerialExpansionBackend,
     ShardedEngine,
     ShardFrontiers,
@@ -111,19 +98,15 @@ __all__ = [
     "Engine",
     "Frontier",
     "InternTable",
-    "ProcessExpansionBackend",
     "SearchError",
     "SearchLimits",
     "SearchResult",
     "SerialExpansionBackend",
     "ShardFrontiers",
     "ShardedEngine",
-    "SharedInternTable",
-    "SharedStateStore",
     "iterate_paths",
     "make_frontier",
     "process_backend_available",
     "shard_of",
-    "shared_memory_available",
     "usable_cpu_count",
 ]

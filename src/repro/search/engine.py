@@ -55,11 +55,11 @@ triggers and the behaviour matches the seed explorers exactly; under
 Truncation semantics
 --------------------
 
-The engine reproduces the seed explorers' truncation behaviour exactly:
-limits are checked after *every generated edge*, and hitting
-``max_configurations`` or ``max_steps`` — even exactly on the last
-successor of an otherwise-complete exploration — marks the result
-``truncated``.  Callers that map truncated explorations to ``UNKNOWN``
+Limits are checked once after the root is interned and then after
+*every generated edge*; hitting ``max_configurations`` or ``max_steps``
+— even exactly on the last successor of an otherwise-complete
+exploration — marks the result ``truncated``, so an exploration never
+holds more than ``max_configurations`` states.  Callers that map truncated explorations to ``UNKNOWN``
 verdicts (reachability) therefore keep their three-valued contracts.
 """
 
@@ -242,15 +242,6 @@ class SearchResult:
           edge objects, repairing cross-shard links (``parent_id == -1``)
           so witness reconstruction works across shards.
 
-        When both operands' intern tables are
-        :class:`~repro.search.shm_interning.SharedInternTable` views of
-        the *same* shared state store — the partials of a
-        shared-interning exploration — the union and the parent
-        re-keying run over **shared ids** (integer dictionary probes)
-        instead of re-hashing every state per fold, which is what makes
-        folding many shard partials cheap at scale.  The merged content
-        is identical either way.
-
         When both operands carry a parent link for the same state (which
         never happens between shard partials), the link discovered at the
         smaller depth wins and the earlier operand wins ties, keeping the
@@ -259,23 +250,12 @@ class SearchResult:
         Raises:
             SearchError: on mismatched retention modes.
         """
-        from repro.search.shm_interning import SharedInternTable
-
         if self.retention != other.retention:
             raise SearchError(
                 f"cannot merge results with different retention modes "
                 f"({self.retention!r} vs {other.retention!r})"
             )
-        shared = (
-            isinstance(self.interning, SharedInternTable)
-            and isinstance(other.interning, SharedInternTable)
-            and self.interning.store is other.interning.store
-        )
-        merged = SearchResult(
-            initial=self.initial,
-            retention=self.retention,
-            interning=SharedInternTable(self.interning.store) if shared else InternTable(),
-        )
+        merged = SearchResult(initial=self.initial, retention=self.retention)
         merged.edge_count = self.edge_count + other.edge_count
         merged.depth_reached = max(self.depth_reached, other.depth_reached)
         merged.truncated = self.truncated or other.truncated
@@ -283,12 +263,7 @@ class SearchResult:
         table = merged.interning
         for operand in (self, other):
             for local_id, state in enumerate(operand.states()):
-                if shared:
-                    merged_id, _, _ = table.intern_shared(
-                        operand.interning.shared_id_of(local_id), state
-                    )
-                else:
-                    merged_id, _, _ = table.intern(state)
+                merged_id, _, _ = table.intern(state)
                 depth = operand.depths.get(local_id)
                 if depth is not None:
                     known = merged.depths.get(merged_id)
@@ -297,7 +272,7 @@ class SearchResult:
         entry_depths: dict = {}
         for operand in (self, other):
             for local_target, (_, edge) in operand.parents.items():
-                target_id = _merge_key(table, operand.interning, local_target, shared)
+                target_id = table.id_of(operand.interning.state_of(local_target))
                 candidate_depth = operand.depths.get(local_target)
                 known_depth = entry_depths.get(target_id)
                 if target_id in merged.parents and (
@@ -310,15 +285,7 @@ class SearchResult:
                 # marker) and resolves once a later fold contributes the
                 # owning shard; after a full merge_all every source is a
                 # discovered state, so no -1 markers survive.
-                if shared:
-                    source_sid = table.store.id_for(edge.source)
-                    parent_id = (
-                        table.local_of_shared(source_sid)
-                        if source_sid is not None
-                        else table.id_of(edge.source)
-                    )
-                else:
-                    parent_id = table.id_of(edge.source)
+                parent_id = table.id_of(edge.source)
                 merged.parents[target_id] = (parent_id if parent_id is not None else -1, edge)
                 entry_depths[target_id] = candidate_depth
         return merged
@@ -332,19 +299,6 @@ class SearchResult:
         if merged is None:
             raise SearchError("merge_all requires at least one result")
         return merged
-
-
-def _merge_key(table, operand_table, local_target: int, shared: bool) -> int | None:
-    """The merged id of a partial result's parent-link target.
-
-    On the shared fast path the target resolves by its shared id (an
-    integer probe); otherwise by re-hashing the state, as before.
-    """
-    if shared:
-        shared_id = operand_table.shared_id_of(local_target)
-        if shared_id is not None:
-            return table.local_of_shared(shared_id)
-    return table.id_of(operand_table.state_of(local_target))
 
 
 def _record_exploration(registry, engine_kind: str, result: "SearchResult", seconds: float) -> None:
@@ -450,11 +404,14 @@ class Engine:
         result.initial = root
         if on_state:
             on_state(root, 0)
-        frontier = make_frontier(self._strategy, self._heuristic)
-        frontier.push(root_id, 0, root)
         depths = result.depths
         depths[root_id] = 0
         limits = self._limits
+        if len(table) >= limits.max_configurations:
+            result.truncated = True
+            return result
+        frontier = make_frontier(self._strategy, self._heuristic)
+        frontier.push(root_id, 0, root)
         successors = self._successors
         while frontier:
             state_id, depth = frontier.pop()
@@ -537,11 +494,14 @@ class Engine:
             on_state(root, 0)
         if predicate(root):
             return [], result
-        frontier = make_frontier(self._strategy, self._heuristic)
-        frontier.push(root_id, 0, root)
         depths = result.depths
         depths[root_id] = 0
         limits = self._limits
+        if len(table) >= limits.max_configurations:
+            result.truncated = True
+            return None, result
+        frontier = make_frontier(self._strategy, self._heuristic)
+        frontier.push(root_id, 0, root)
         successors = self._successors
         while frontier:
             state_id, depth = frontier.pop()

@@ -29,8 +29,12 @@ __all__ = [
     "BFSFrontier",
     "DFSFrontier",
     "Frontier",
+    "STRATEGIES",
     "make_frontier",
 ]
+
+#: The frontier strategy names :func:`make_frontier` accepts.
+STRATEGIES = ("bfs", "dfs", "best-first")
 
 
 class Frontier:
@@ -131,6 +135,4 @@ def make_frontier(strategy: str, heuristic: Callable[[Any, int], Any] | None = N
         if heuristic is None:
             raise SearchError("the best-first strategy requires a heuristic(state, depth)")
         return BestFirstFrontier(heuristic)
-    raise SearchError(
-        f"unknown frontier strategy {strategy!r}; expected 'bfs', 'dfs' or 'best-first'"
-    )
+    raise SearchError(f"unknown frontier strategy {strategy!r}; expected one of {STRATEGIES}")

@@ -15,12 +15,6 @@ Interning also restores *reference identity* along explored paths: the
 engine always expands the canonical representative, so consecutive steps
 share configuration objects and downstream equality checks (for example
 run-prefix validation) hit CPython's identity fast path.
-
-For sharded explorations whose expansion traffic crosses process
-boundaries, :mod:`repro.search.shm_interning` provides
-:class:`~repro.search.shm_interning.SharedInternTable` — the variant of
-this table that mirrors canonical states into a shared-memory slab so
-workers exchange intern ids instead of pickled states.
 """
 
 from __future__ import annotations

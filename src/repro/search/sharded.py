@@ -1,11 +1,9 @@
 """Sharded, work-stealing exploration with merged results.
 
 The single-process :class:`~repro.search.engine.Engine` expands one
-state at a time; on the large case studies almost all of that time is
-spent in *successor enumeration* (guard evaluation over the database
-instance, instance construction).  This module parallelises exactly that
-hot loop while keeping the results **bit-identical** to a single-shard
-breadth-first exploration:
+state at a time from one frontier.  This module runs the ``"bfs"``
+exploration over hash-partitioned per-shard frontiers while keeping the
+results **bit-identical** to a single-shard breadth-first exploration:
 
 * interned configuration ids are hash-partitioned across ``shards``
   shards — each shard owns the states whose structural hash falls into
@@ -13,18 +11,12 @@ breadth-first exploration:
   (:class:`ShardFrontiers`);
 * exploration is *level-synchronous*: all states at depth ``d`` are
   expanded before any state at depth ``d + 1``, in batches
-  (``batch_size`` states per expansion task);
+  (``batch_size`` states per batch);
 * when a shard's frontier drains before the level is finished it
   **steals** the tail half of the fullest remaining frontier, so batch
   composition stays balanced across shards even under skewed hash
-  partitions (dispatch to actual worker processes is additionally
-  load-balanced by the pool handing batches to whichever worker is
-  free);
-* successor enumeration runs on an expansion backend — a
-  ``multiprocessing`` process pool (:class:`ProcessExpansionBackend`,
-  fork start method) or a deterministic single-process fallback
-  (:class:`SerialExpansionBackend`) that exercises the same shard
-  queues and stealing policy;
+  partitions;
+* successors are enumerated in-process (:class:`SerialExpansionBackend`);
 * the coordinator then **replays** the expansions in global discovery
   (interned-id) order — the exact order in which single-shard BFS pops
   its FIFO frontier — interning targets, recording parent links and
@@ -34,7 +26,7 @@ Because interning, parent assignment, limit checks and predicate
 evaluation all happen in the deterministic replay, the merged result is
 bit-identical to the single-shard engine's on the visited set, edge
 counts, truncation flags, parent links and reconstructed witnesses, for
-every retention mode and worker count.  The only speculative work is
+every retention mode and shard count.  The only speculative work is
 successor enumeration past a limit, which the replay discards.
 
 Each shard accumulates its discoveries in its own partial
@@ -47,21 +39,21 @@ shard makes the merged exploration truncated, which the reachability
 layer maps to ``UNKNOWN`` (never ``FAILS``).
 
 Sharding is inherently level-synchronous, so only the ``"bfs"`` frontier
-strategy is supported; requesting ``"dfs"``/``"best-first"`` with more
-than one shard or worker raises :class:`~repro.errors.SearchError`.
+strategy is supported; requesting ``"dfs"``/``"best-first"`` raises
+:class:`~repro.errors.SearchError`.
 
-Expansion backends live for the **engine's lifetime** (not one fork
-cycle per ``explore()`` call), and an engine given a
-:class:`repro.runtime.WorkerPool` borrows *warm* workers that survive
-the engine itself — see :mod:`repro.runtime` for the pool, the sweep
-scheduler and checkpointed execution built on top of this module.
+Multi-process exploration is the two-level distributed engine
+(:mod:`repro.distributed`), reached with ``nodes > 1``: node agents own
+the intern tables of their hash-partitions and run this module's shard
+queues and stealing policy locally.  Successor expansion on worker
+processes *inside* one exploration lost to a single worker on every
+measured setup, so it does not exist.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import weakref
 from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Iterable
@@ -77,20 +69,11 @@ from repro.search.engine import (
     SearchResult,
 )
 from repro.search.interning import InternTable
-from repro.search.shm_interning import (
-    EncodedExpansion,
-    SharedInternTable,
-    SharedStateStore,
-    attached_store,
-    set_process_writer_slot,
-    shared_memory_available,
-)
 
 __all__ = [
     "ShardFrontiers",
     "ShardedEngine",
     "SerialExpansionBackend",
-    "ProcessExpansionBackend",
     "shard_of",
     "process_backend_available",
     "usable_cpu_count",
@@ -110,16 +93,14 @@ def shard_of(state: Any, shards: int) -> int:
 
 
 def process_backend_available() -> bool:
-    """Whether the multiprocessing backend can run *here*.
+    """Whether this process may fork worker processes.
 
-    The process backend inherits the successor closure via the ``fork``
-    start method, so it is available exactly where fork is (POSIX) —
-    and where the current process may have children at all: inside a
-    daemonic pool worker (e.g. a sweep point running on the runtime's
-    scheduler) Python forbids spawning processes, so nested
-    explorations silently use the deterministic serial backend instead.
-    Results are bit-identical either way; only parallelism is affected,
-    and the outer level already provides it in the nested case.
+    True exactly where the ``fork`` start method exists (POSIX) and the
+    current process may have children at all: inside a daemonic pool
+    worker (e.g. a sweep point running on the runtime's scheduler)
+    Python forbids spawning processes.  The localhost distributed
+    cluster and the worker pool consult it; where it is false they fall
+    back to in-process execution with bit-identical results.
     """
     if multiprocessing.current_process().daemon:
         return False
@@ -139,7 +120,7 @@ class ShardFrontiers:
 
     One instance holds the frontiers of a single exploration level: the
     coordinator pushes every ``(state_id, state)`` entry onto its owning
-    shard's queue, and expansion workers drain the queues in batches.
+    shard's queue, and the expansion backend drains the queues in batches.
     :meth:`take_batch` serves a shard from its own queue first; when that
     queue has drained it steals the tail half of the fullest remaining
     queue (the classic work-stealing split: the victim keeps the head it
@@ -147,8 +128,7 @@ class ShardFrontiers:
 
     ``steals`` counts the steal operations of this level; the engine
     reads it after the backend drains the frontiers and flushes it into
-    the metrics registry (stealing happens coordinator-side for every
-    backend, so no counter crosses a process boundary).
+    the metrics registry.
     """
 
     __slots__ = ("_queues", "steals")
@@ -208,7 +188,7 @@ class ShardFrontiers:
         self._queues[into].extend(stolen)
 
 
-# -- expansion backends ------------------------------------------------------------
+# -- expansion backend -------------------------------------------------------------
 
 
 def _drain_batches(frontiers: ShardFrontiers, batch_size: int) -> list[list]:
@@ -230,10 +210,10 @@ def _drain_batches(frontiers: ShardFrontiers, batch_size: int) -> list[list]:
 
 
 class SerialExpansionBackend:
-    """Deterministic single-process expansion (the fallback backend).
+    """Deterministic in-process expansion of a level's shard queues.
 
-    Runs the exact same shard-queue draining and stealing schedule as the
-    process backend, then enumerates successors inline.
+    Drains the queues batch by batch with the stealing schedule of
+    :func:`_drain_batches`, enumerating successors inline.
     """
 
     name = "serial"
@@ -249,163 +229,6 @@ class SerialExpansionBackend:
             for state_id, state in batch:
                 expansions[state_id] = list(successors(state))
         return expansions
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-def expand_shared_batch(
-    successors: Callable[[Any], Iterable], batch: list, store_name: str
-) -> EncodedExpansion:
-    """Expand one id-only batch against the shared state store.
-
-    Entries are ``(state_id, shared_id, inline_state)`` — ``shared_id``
-    resolves through the per-process store cache (each configuration is
-    deserialized at most once per process); ``inline_state`` carries the
-    rare state the slab could not hold.  Freshly generated targets are
-    interned into this worker's slot, so the returned
-    :class:`EncodedExpansion` ships edges with *ids* in place of source
-    and target configurations.
-    """
-    store = attached_store(store_name)
-    results = []
-    for state_id, shared_id, inline in batch:
-        if shared_id is not None:
-            state = store.get(shared_id)
-        else:
-            state = inline
-            store.put(state)  # give the return trip an id for it too
-        edges = list(successors(state))
-        for edge in edges:
-            store.put(edge.target)
-        results.append((state_id, edges))
-    return EncodedExpansion(store.dumps(results))
-
-
-_WORKER_SUCCESSORS: Callable[[Any], Iterable] | None = None
-_WORKER_STORE_NAME: str | None = None
-
-
-def _initialise_worker(
-    successors: Callable[[Any], Iterable],
-    store_name: str | None = None,
-    slot_counter=None,
-) -> None:
-    """Pool initializer: remember the successor function in the worker.
-
-    With a shared state store, each worker additionally claims the next
-    writer slot (the counter and its lock are inherited through fork).
-    """
-    global _WORKER_SUCCESSORS, _WORKER_STORE_NAME
-    _WORKER_SUCCESSORS = successors
-    _WORKER_STORE_NAME = store_name
-    if slot_counter is not None:
-        with slot_counter.get_lock():
-            slot_counter.value += 1
-            slot = slot_counter.value
-        set_process_writer_slot(slot)
-
-
-def _expand_batch(batch: list):
-    """Expand one batch in a worker; returns ``[(state_id, [edges]), ...]``.
-
-    Id-only batches (3-tuple entries) are expanded against the shared
-    store and return an :class:`EncodedExpansion` blob instead.
-    """
-    assert _WORKER_SUCCESSORS is not None, "worker pool was not initialised"
-    if batch and len(batch[0]) == 3:
-        assert _WORKER_STORE_NAME is not None, "id-only batch without a shared store"
-        return expand_shared_batch(_WORKER_SUCCESSORS, batch, _WORKER_STORE_NAME)
-    return [(state_id, list(_WORKER_SUCCESSORS(state))) for state_id, state in batch]
-
-
-def _terminate_pool(pool, store=None) -> None:
-    """GC safety net for pools whose owning backend was never closed.
-
-    Also unlinks the backend-owned shared state store: the per-process
-    attach registry keeps the owner view alive, so the store's own
-    finalizer can only fire through the backend's.
-    """
-    try:
-        pool.terminate()
-    except Exception:  # noqa: BLE001 - finalizers must never raise
-        pass
-    if store is not None:
-        try:
-            store.destroy()
-        except Exception:  # noqa: BLE001 - finalizers must never raise
-            pass
-
-
-class ProcessExpansionBackend:
-    """Batch successor expansion on a fork-based ``multiprocessing`` pool.
-
-    The successor closure is inherited by the workers through fork (no
-    pickling of the system), while the states shipped out and the edges
-    shipped back cross process boundaries pickled.  Expansion results
-    arrive unordered; determinism is restored by the coordinator replay.
-
-    The pool lives for the backend's lifetime — one fork cycle serves
-    every exploration of the owning engine, not one per ``explore()``
-    call.  A backend dropped without :meth:`close` is cleaned up by a GC
-    finalizer.  For *cross-engine* reuse, lease backends from a
-    :class:`repro.runtime.WorkerPool` instead.
-
-    With ``store`` (a :class:`~repro.search.shm_interning.SharedStateStore`
-    owned by this backend), expansion traffic is id-only: the
-    coordinator ships ``(state_id, shared_id)`` entries and workers
-    answer :class:`EncodedExpansion` blobs.  The store is destroyed
-    (segment unlinked) on :meth:`close`.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        successors: Callable[[Any], Iterable],
-        workers: int,
-        store: SharedStateStore | None = None,
-    ) -> None:
-        if not process_backend_available():
-            raise SearchError(
-                "the multiprocessing expansion backend requires the 'fork' start method"
-            )
-        context = multiprocessing.get_context("fork")
-        self.shared_store = store
-        slot_counter = context.Value("i", 0) if store is not None else None
-        self._pool = context.Pool(
-            processes=workers,
-            initializer=_initialise_worker,
-            initargs=(successors, store.name if store is not None else None, slot_counter),
-        )
-        self._finalizer = weakref.finalize(self, _terminate_pool, self._pool, store)
-
-    def worker_pids(self) -> tuple[int, ...]:
-        """The pids of the pool's worker processes (sorted).
-
-        Successive explorations through the same backend reuse these
-        exact workers — the regression surface for the per-call
-        pool-rebuild bug.
-        """
-        return tuple(sorted(worker.pid for worker in self._pool._pool))
-
-    def expand(self, frontiers: ShardFrontiers, batch_size: int) -> dict:
-        """Expand every queued state across the pool; ``{state_id: [edges]}``."""
-        batches = _drain_batches(frontiers, batch_size)
-        expansions: dict = {}
-        for chunk in self._pool.imap_unordered(_expand_batch, batches):
-            if isinstance(chunk, EncodedExpansion):
-                chunk = self.shared_store.loads(chunk.payload)
-            expansions.update(chunk)
-        return expansions
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent); unlinks an owned store."""
-        if self._finalizer.detach() is not None:
-            self._pool.close()
-            self._pool.join()
-            if self.shared_store is not None:
-                self.shared_store.destroy()
 
 
 def _flush_level(record, new_states: int, level_edges: int, replay_seconds: float) -> None:
@@ -433,8 +256,7 @@ class ShardedEngine:
 
     Drop-in for :class:`~repro.search.engine.Engine` on the ``"bfs"``
     strategy: :meth:`explore` and :meth:`search` return results
-    bit-identical to the single-shard engine's, while successor
-    enumeration is batched across shard workers.
+    bit-identical to the single-shard engine's.
 
     Args:
         successors: deterministic successor function
@@ -443,35 +265,15 @@ class ShardedEngine:
             enumerate successors speculatively past a limit.
         limits: depth/state/edge limits (:class:`SearchLimits`).
         shards: number of hash partitions / per-level frontiers.
-        workers: expansion processes; ``1`` selects the serial backend.
         retention: edge-retention mode (as for :class:`Engine`).
         strategy: must be ``"bfs"`` — sharding is level-synchronous.
-        batch_size: states per expansion task.
-        pool: a :class:`repro.runtime.WorkerPool` to borrow warm
-            expansion workers from.  Leased workers survive the engine
-            (they stay warm in the pool); without a pool the engine owns
-            its backend, created once on first use and reused by every
-            later exploration until :meth:`close`.
-        pool_key: worker-pool context key identifying the successor
-            function's semantics (defaults to the callable's identity).
-            Engines sharing a key share the same warm workers.
-        shared_interning: route expansion traffic through a
-            shared-memory state store (:mod:`repro.search.shm_interning`)
-            so workers exchange intern ids instead of pickled states.
-            Default ``None`` (auto): on whenever expansion runs on
-            worker *processes* — pooled or engine-owned — and shared
-            memory is available; always off for the in-process serial
-            fallback.  ``True`` requests it (silently degrading where
-            impossible), ``False`` forces classic pickled traffic.
-            Results are bit-identical either way.
+        batch_size: states per expansion batch.
         nodes: with ``nodes > 1`` the exploration runs **two-level
             distributed** (:mod:`repro.distributed`): each of ``nodes``
             node agents owns the intern table and partial result of its
-            hash-partition, ``shards``/``workers``/``shared_interning``
-            become each node's *local* configuration, and the merged
-            result stays bit-identical to the single-shard engine's.  A
-            ``pool=`` is ignored in this mode (node agents own their
-            expansion workers).
+            hash-partition, ``shards`` becomes each node's *local* shard
+            count, and the merged result stays bit-identical to the
+            single-shard engine's.
         transport: how node agents are reached when ``nodes > 1`` —
             ``None``/``"tcp"`` forks a localhost TCP cluster owned by
             the engine; a :class:`repro.distributed.Coordinator` with
@@ -489,24 +291,20 @@ class ShardedEngine:
             (interned vs duplicate states, edges, steals, expand/replay
             timings) are flushed at level barriers, never per edge.
 
-    The expansion backend lives for the **engine's lifetime**: repeated
-    :meth:`explore`/:meth:`search` calls reuse the same worker
-    processes instead of forking a fresh pool per call.  The engine is
-    a context manager; ``close()`` releases a pool lease or shuts an
-    owned backend down (a GC finalizer backstops forgotten engines).
+    A distributed engine keeps its cluster for the **engine's
+    lifetime**: repeated :meth:`explore`/:meth:`search` calls reuse the
+    same node agents.  The engine is a context manager; ``close()``
+    tears an owned cluster down (a GC finalizer backstops forgotten
+    engines).
     """
 
     __slots__ = (
         "_successors",
         "_limits",
         "_shards",
-        "_workers",
         "_retention",
         "_batch_size",
-        "_pool",
-        "_pool_key",
-        "_shared_interning",
-        "_backend_instance",
+        "_backend",
         "_nodes",
         "_transport",
         "_context",
@@ -520,13 +318,9 @@ class ShardedEngine:
         *,
         limits: SearchLimits | None = None,
         shards: int = 1,
-        workers: int = 1,
         retention: str = RETAIN_FULL,
         strategy: str = "bfs",
         batch_size: int = DEFAULT_BATCH_SIZE,
-        pool=None,
-        pool_key: Any = None,
-        shared_interning: bool | None = None,
         nodes: int = 1,
         transport: Any = None,
         context: Any = None,
@@ -541,8 +335,8 @@ class ShardedEngine:
                 "sharded exploration is level-synchronous and supports only the 'bfs' "
                 f"strategy (got {strategy!r})"
             )
-        if shards < 1 or workers < 1:
-            raise SearchError("shards and workers must both be positive")
+        if shards < 1:
+            raise SearchError("the number of shards must be positive")
         if nodes < 1:
             raise SearchError("the node count must be positive")
         if batch_size < 1:
@@ -550,13 +344,9 @@ class ShardedEngine:
         self._successors = successors
         self._limits = limits or SearchLimits()
         self._shards = shards
-        self._workers = workers
         self._retention = retention
         self._batch_size = batch_size
-        self._pool = pool
-        self._pool_key = pool_key
-        self._shared_interning = shared_interning
-        self._backend_instance = None
+        self._backend = SerialExpansionBackend(successors)
         self._nodes = nodes
         self._transport = transport
         self._context = context
@@ -572,11 +362,6 @@ class ShardedEngine:
     def shards(self) -> int:
         """Number of hash partitions."""
         return self._shards
-
-    @property
-    def workers(self) -> int:
-        """Number of expansion workers."""
-        return self._workers
 
     @property
     def retention(self) -> str:
@@ -595,74 +380,10 @@ class ShardedEngine:
 
     @property
     def backend_name(self) -> str:
-        """The expansion backend :meth:`explore` will use."""
+        """``"distributed"`` across node agents, ``"serial"`` in-process."""
         if self._distributed_active():
             return "distributed"
-        if self._backend_instance is not None:
-            return self._backend_instance.name
-        if self._pool is not None:
-            return "pooled" if self._pool.uses_processes(self._workers) else "pooled-serial"
-        if self._workers > 1 and process_backend_available():
-            return ProcessExpansionBackend.name
         return SerialExpansionBackend.name
-
-    @property
-    def shared_interning(self) -> bool:
-        """Whether expansion traffic is (or will be) id-only.
-
-        Reports the *effective* state once a backend exists; before
-        that, the auto policy's prediction: on for process-backed
-        expansion with shared memory available, off otherwise.  For a
-        distributed engine this is the per-*node* prediction (each node
-        decides exactly as a node-local engine would).
-        """
-        if self._distributed_active():
-            return (
-                self._shared_interning is not False
-                and shared_memory_available()
-                and self._workers > 1
-                and process_backend_available()
-            )
-        backend = self._backend_instance
-        if backend is not None:
-            return getattr(backend, "shared_store", None) is not None
-        if self._shared_interning is False or not shared_memory_available():
-            return False
-        if self._pool is not None:
-            return self._pool.uses_processes(self._workers)
-        return self._workers > 1 and process_backend_available()
-
-    def _backend(self):
-        """The engine's expansion backend, created once and then reused.
-
-        Hoisting the backend to engine lifetime is what keeps worker
-        processes warm across successive explorations; previously a
-        fresh pool was forked and torn down inside every ``explore()``.
-        """
-        if self._backend_instance is None:
-            if self._pool is not None:
-                self._backend_instance = self._pool.expansion_backend(
-                    self._successors,
-                    key=self._pool_key,
-                    workers=self._workers,
-                    shared_interning=self._shared_interning,
-                )
-            elif self._workers > 1 and process_backend_available():
-                store = None
-                if self._shared_interning is not False:
-                    # Slot 0 is the coordinator, one slot per worker,
-                    # plus headroom: mp.Pool *does* respawn crashed
-                    # workers, and each replacement claims a fresh slot
-                    # from the initializer counter (an out-of-slots
-                    # replacement degrades to inline traffic, which is
-                    # slower, never wrong).
-                    store = SharedStateStore.create(slots=self._workers + 4)
-                self._backend_instance = ProcessExpansionBackend(
-                    self._successors, self._workers, store=store
-                )
-            else:
-                self._backend_instance = SerialExpansionBackend(self._successors)
-        return self._backend_instance
 
     def _distributed_active(self) -> bool:
         """Whether explorations actually run on node agents.
@@ -671,9 +392,8 @@ class ShardedEngine:
         ``fork`` start method to launch agents; where it is unavailable
         (or inside a daemonic sweep worker, which may not have children)
         the engine silently falls back to the single-node path — the
-        replay makes results bit-identical either way, exactly as for
-        the serial expansion fallback.  An external coordinator's agents
-        already exist, so that path never degrades.
+        replay makes results bit-identical either way.  An external
+        coordinator's agents already exist, so that path never degrades.
         """
         if self._nodes <= 1:
             return False
@@ -684,9 +404,9 @@ class ShardedEngine:
     def _distributed(self):
         """The two-level distributed engine (created once, then reused).
 
-        Like the expansion backend, it is engine-lifetime state: the
-        localhost cluster (or the borrowed coordinator's lease) stays
-        warm across successive explorations until :meth:`close`.
+        Engine-lifetime state: the localhost cluster (or the borrowed
+        coordinator's lease) stays warm across successive explorations
+        until :meth:`close`.
         """
         if self._distributed_instance is None:
             from repro.distributed.coordinator import DistributedEngine
@@ -697,9 +417,7 @@ class ShardedEngine:
                 limits=self._limits,
                 retention=self._retention,
                 local_shards=self._shards,
-                local_workers=self._workers,
                 batch_size=self._batch_size,
-                shared_interning=self._shared_interning,
                 transport=self._transport,
                 context=self._context,
                 metrics=self._metrics,
@@ -707,17 +425,12 @@ class ShardedEngine:
         return self._distributed_instance
 
     def close(self) -> None:
-        """Release the expansion backend (idempotent).
+        """Release the distributed cluster (idempotent).
 
-        An owned process pool is shut down; a pool lease is released
-        with its workers left warm; an owned distributed cluster is torn
-        down (a borrowed coordinator stays connected).  The engine may
-        be used again — the next exploration simply acquires a fresh
-        backend or cluster.
+        An owned cluster is torn down; a borrowed coordinator stays
+        connected.  The engine may be used again — the next distributed
+        exploration simply launches or leases a fresh cluster.
         """
-        backend, self._backend_instance = self._backend_instance, None
-        if backend is not None:
-            backend.close()
         distributed, self._distributed_instance = self._distributed_instance, None
         if distributed is not None:
             distributed.close()
@@ -837,29 +550,10 @@ class ShardedEngine:
         keep_edges = self._retention == RETAIN_FULL
         # Predicate search always keeps parent links (witnesses), as Engine.search does.
         keep_parents = self._retention != RETAIN_COUNTS or predicate is not None
-        # The backend is engine-lifetime state: acquired once, reused by
-        # every exploration, released by close() — not per call.  It also
-        # fixes whether this exploration moves ids or pickled states.
-        backend = self._backend()
-        store = getattr(backend, "shared_store", None)
-        if store is not None:
-            # Global dedup; local ids are single-shard discovery order
-            # (bit-identical to InternTable), mirrored into the store so
-            # frontier batches and returned edges carry shared ids only.
-            table = SharedInternTable(store)
-            partials = [
-                SearchResult(
-                    initial=initial,
-                    retention=self._retention,
-                    interning=SharedInternTable(store),
-                )
-                for _ in range(shards)
-            ]
-        else:
-            table = InternTable()  # global dedup; ids are single-shard discovery order
-            partials = [
-                SearchResult(initial=initial, retention=self._retention) for _ in range(shards)
-            ]
+        table = InternTable()  # global dedup; ids are single-shard discovery order
+        partials = [
+            SearchResult(initial=initial, retention=self._retention) for _ in range(shards)
+        ]
         # Metrics are boundary-only: `record` is None on the disabled
         # path, so the per-edge replay below never touches the registry
         # and the per-level flushes cost a handful of dict probes.
@@ -878,6 +572,9 @@ class ShardedEngine:
             on_state(root, 0)
         if predicate is not None and predicate(root):
             return partials, (root, None)
+        if len(table) >= limits.max_configurations:
+            partials[root_shard].truncated = True
+            return partials, None
         total_edges = 0
         level = [root_id]
         depth = 0
@@ -892,20 +589,11 @@ class ShardedEngine:
                 record.counter("sharded_levels_total").inc()
                 record.gauge("engine_frontier_states").high_water(len(level))
             frontiers = ShardFrontiers(shards)
-            if store is not None:
-                # Id-only frontier entries; a state the slab could not
-                # hold (shared id None) travels inline, which is rare
-                # and always correct.
-                for state_id in level:
-                    shared_id = table.shared_id_of(state_id)
-                    inline = table.state_of(state_id) if shared_id is None else None
-                    frontiers.push(owner[state_id], (state_id, shared_id, inline))
-            else:
-                for state_id in level:
-                    frontiers.push(owner[state_id], (state_id, table.state_of(state_id)))
+            for state_id in level:
+                frontiers.push(owner[state_id], (state_id, table.state_of(state_id)))
             expand_started = perf_counter() if record is not None else 0.0
             with tracer.span("expand", depth=depth, frontier=len(level)):
-                expansions = backend.expand(frontiers, self._batch_size)
+                expansions = self._backend.expand(frontiers, self._batch_size)
             replay_started = perf_counter() if record is not None else 0.0
             if record is not None:
                 record.histogram("sharded_level_seconds", phase="expand").observe(

@@ -31,9 +31,12 @@ Endpoints (all payloads/replies JSON unless noted):
 
 Admission control bounds concurrent queries: beyond
 ``max_concurrent`` in-flight requests, new ones get HTTP 429 with
-``Retry-After`` instead of queueing.  Failed library preconditions
-(unknown case study, malformed query, non-sentence condition) render as
-HTTP 400.
+``Retry-After`` instead of queueing.  Knobs are validated before
+dispatch (:func:`~repro.service.sessions.decode_options`: JSON integers
+only, ``max_depth ≥ 0``, ``max_configurations``/``max_steps ≥ 1``,
+bounds ``≥ 0``, known strategy and retention names), and failed library
+preconditions (unknown case study, malformed query, non-sentence
+condition) render as HTTP 400 as well.
 """
 
 from __future__ import annotations
@@ -43,11 +46,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.errors import QueryTimeoutError
+from repro.errors import QueryTimeoutError, ServiceError
 from repro.modelcheck.result import ReachabilityResult
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, resolve_metrics
 from repro.service.asgi import App, Request, Response, json_response, sse_event
-from repro.service.sessions import SessionManager
+from repro.service.sessions import SessionManager, decode_bound, decode_bounds
 
 __all__ = ["ServiceConfig", "create_app", "result_payload"]
 
@@ -95,14 +98,13 @@ def result_payload(result: ReachabilityResult) -> dict:
     }
 
 
-def _bound_of(payload: Mapping) -> int | None:
-    bound = payload.get("bound")
-    return None if bound is None else int(bound)
-
-
 def _timeout_of(payload: Mapping, config: ServiceConfig) -> float | None:
     timeout = payload.get("timeout", config.default_timeout)
-    return None if timeout is None else float(timeout)
+    if timeout is None:
+        return None
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or timeout < 0:
+        raise ServiceError("'timeout' must be a non-negative number of seconds")
+    return float(timeout)
 
 
 def _deadline_on_state(
@@ -236,7 +238,7 @@ def create_app(config: ServiceConfig | None = None) -> App:
         system = m.system(str(payload.get("case_study", "")))
         condition = m.condition(payload)
         options = m.query_options(payload)
-        bound = _bound_of(payload)
+        bound = decode_bound(payload.get("bound"))
         timeout = _timeout_of(payload, config)
         registry = resolve_metrics(config.metrics)
         m.acquire()
@@ -293,7 +295,7 @@ def create_app(config: ServiceConfig | None = None) -> App:
         system = m.system(str(payload.get("case_study", "")))
         condition = m.condition(payload)
         options = m.query_options(payload)
-        bounds = tuple(int(bound) for bound in payload.get("bounds", (0, 1, 2, 3, 4)))
+        bounds = decode_bounds(payload.get("bounds", (0, 1, 2, 3, 4)))
         registry = resolve_metrics(config.metrics)
         m.acquire()
 

@@ -17,6 +17,7 @@ stable across requests.  Conditions arrive as a proposition name
 
 from __future__ import annotations
 
+import json
 import threading
 from typing import Callable, Mapping
 
@@ -33,8 +34,10 @@ from repro.errors import AdmissionError, ServiceError
 from repro.fol.parser import parse_query
 from repro.fol.syntax import Query
 from repro.obs.metrics import resolve_metrics
+from repro.search.engine import RETENTION_MODES
+from repro.search.frontier import STRATEGIES
 
-__all__ = ["DEFAULT_CASE_STUDIES", "SessionManager"]
+__all__ = ["DEFAULT_CASE_STUDIES", "SessionManager", "decode_bound", "decode_options"]
 
 #: The case studies a default service serves, by request name.
 DEFAULT_CASE_STUDIES: dict[str, Callable[[], DMS]] = {
@@ -44,9 +47,61 @@ DEFAULT_CASE_STUDIES: dict[str, Callable[[], DMS]] = {
     "warehouse": warehouse_system,
 }
 
-#: Exploration knobs a request payload may override.
-_INT_KNOBS = ("max_depth", "max_configurations", "max_steps")
-_STR_KNOBS = ("strategy", "retention")
+#: Integer exploration knobs a request payload may override, with their minimum.
+_INT_KNOBS = {"max_depth": 0, "max_configurations": 1, "max_steps": 1}
+
+#: String exploration knobs a request payload may override, with their values.
+#: ``best-first`` needs a heuristic callable, which JSON cannot carry.
+_STR_KNOBS = {
+    "strategy": tuple(name for name in STRATEGIES if name != "best-first"),
+    "retention": RETENTION_MODES,
+}
+
+def _decode_int(name: str, value, minimum: int) -> int:
+    """``value`` as an integer knob, or a :class:`ServiceError` (HTTP 400).
+
+    Only JSON integers count: booleans, numeric strings and fractional
+    numbers are rejected rather than coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(f"{name!r} must be a JSON integer, got {json.dumps(value)[:40]}")
+    if value < minimum:
+        raise ServiceError(f"{name!r} must be at least {minimum}, got {value}")
+    return value
+
+
+def decode_options(payload: Mapping, defaults: ExplorationOptions) -> ExplorationOptions:
+    """``defaults`` with a request payload's knob overrides applied.
+
+    The one decoder of request knobs: the service and the load
+    harness's verdict oracle both read payloads through it.
+
+    Raises:
+        ServiceError: on a knob of the wrong JSON type or out of range.
+    """
+    changes: dict = {}
+    for knob, minimum in _INT_KNOBS.items():
+        if knob in payload:
+            changes[knob] = _decode_int(knob, payload[knob], minimum)
+    for knob, allowed in _STR_KNOBS.items():
+        if knob in payload:
+            value = payload[knob]
+            if not isinstance(value, str) or value not in allowed:
+                raise ServiceError(f"{knob!r} must be one of {', '.join(allowed)}")
+            changes[knob] = value
+    return defaults.replace(**changes) if changes else defaults
+
+
+def decode_bound(value) -> int | None:
+    """A payload's recency ``bound``: ``None`` (unbounded) or an integer ≥ 0."""
+    return None if value is None else _decode_int("bound", value, 0)
+
+
+def decode_bounds(value) -> tuple[int, ...]:
+    """A convergence payload's ``bounds``: an array of integers ≥ 0."""
+    if not isinstance(value, (list, tuple)):
+        raise ServiceError("'bounds' must be an array of integers")
+    return tuple(_decode_int("bounds entry", bound, 0) for bound in value)
 
 
 class SessionManager:
@@ -134,16 +189,9 @@ class SessionManager:
         return parse_query(str(payload["condition"]))
 
     def query_options(self, payload: Mapping) -> ExplorationOptions:
-        """The session defaults with the payload's knob overrides applied."""
-        changes: dict = {}
-        for knob in _INT_KNOBS:
-            if knob in payload:
-                changes[knob] = int(payload[knob])
-        for knob in _STR_KNOBS:
-            if knob in payload:
-                changes[knob] = str(payload[knob])
-        options = self.session.options
-        return options.replace(**changes) if changes else options
+        """The session defaults with the payload's knob overrides applied
+        (see :func:`decode_options`)."""
+        return decode_options(payload, self.session.options)
 
     # -- admission control ------------------------------------------------------
 

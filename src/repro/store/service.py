@@ -24,8 +24,8 @@ used by benches and tests) funnels through:
    and prune entries orphaned by a schema change.
 
 Keys deliberately *exclude* execution knobs that never change results:
-``shards``/``workers``/``nodes``/``pool``/``shared_interning`` are
-bit-identity-gated elsewhere (the E14/E16/E17 benches), so a result
+``shards``/``nodes``/``transport`` are bit-identity-gated elsewhere
+(the E14/E17 benches), so a result
 computed sharded serves a later single-shard query and vice versa.
 """
 

@@ -140,12 +140,10 @@ def exploration_mode_sweep(
 def shard_scaling_sweep(
     system,
     bound: int,
-    configurations: Sequence[tuple[int, int]] = ((1, 1), (2, 1), (4, 1), (4, 2), (4, 4)),
+    shard_counts: Sequence[int] = (1, 2, 4),
     max_depth: int = 5,
     retention: str = "counts-only",
     *,
-    pool=None,
-    shared_interning: bool | None = None,
     nodes: int = 1,
     transport=None,
     parallel: int = 1,
@@ -155,44 +153,38 @@ def shard_scaling_sweep(
     resume: bool = False,
     on_point: Callable | None = None,
 ) -> tuple[SweepPoint, ...]:
-    """Explore one system under a grid of ``(shards, workers)`` pairs.
+    """Explore one system under a grid of shard counts.
 
-    ``(1, 1)`` is the plain single-shard engine; every other point runs
-    the sharded engine (:mod:`repro.search.sharded`).  Measures
-    discovered configurations/edges, the expansion backend used and
-    wall-clock seconds, so callers (the E14 benchmark, the determinism
-    tests) can check that every point discovers the same fragment and
-    compare scaling.  ``pool`` keeps expansion workers warm across the
-    points of a *sequential* sweep; ``parallel``/``checkpoint``/
-    ``resume`` schedule the points as in :func:`sweep` (timings then
-    overlap — keep ``parallel=1`` when comparing per-point seconds).
-    ``nodes``/``transport`` run every non-baseline point two-level
-    distributed (:mod:`repro.distributed`), with ``(shards, workers)``
-    as each node's local configuration — counts stay identical, the
-    intern tables move onto the node agents.
+    ``1`` is the plain single-shard engine; every other point runs the
+    sharded engine (:mod:`repro.search.sharded`).  Measures discovered
+    configurations/edges, the backend used and wall-clock seconds, so
+    callers (the determinism tests, scaling studies) can check that
+    every point discovers the same fragment.  ``parallel``/
+    ``checkpoint``/``resume`` schedule the points as in :func:`sweep`
+    (timings then overlap — keep ``parallel=1`` when comparing per-point
+    seconds).  ``nodes``/``transport`` run every non-baseline point
+    two-level distributed (:mod:`repro.distributed`), with the shard
+    count as each node's local configuration — counts stay identical,
+    the intern tables move onto the node agents.
     """
     from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 
-    exploration_pool = pool if parallel <= 1 else None
-
     def measure(parameters: dict) -> dict:
-        point_nodes = nodes if (parameters["shards"], parameters["workers"]) != (1, 1) else 1
+        shards = parameters["shards"]
         explorer = RecencyExplorer(
             system,
             bound,
             RecencyExplorationLimits(max_depth=max_depth),
             retention=retention,
-            shards=parameters["shards"],
-            workers=parameters["workers"],
-            pool=exploration_pool,
-            shared_interning=shared_interning,
-            nodes=point_nodes,
+            shards=shards,
+            nodes=nodes if shards != 1 else 1,
             transport=transport,
         )
-        backend = explorer.backend_name
-        started = time.perf_counter()
-        result = explorer.explore()
-        elapsed = time.perf_counter() - started
+        with explorer:
+            backend = explorer.backend_name
+            started = time.perf_counter()
+            result = explorer.explore()
+            elapsed = time.perf_counter() - started
         return {
             "backend": backend,
             "configurations": result.configuration_count,
@@ -201,7 +193,7 @@ def shard_scaling_sweep(
             "seconds": round(elapsed, 4),
         }
 
-    grid = [{"shards": shards, "workers": workers} for shards, workers in configurations]
+    grid = [{"shards": shards} for shards in shard_counts]
     return sweep(
         grid, measure, parallel=parallel, timeout=timeout, retries=retries,
         checkpoint=checkpoint, resume=resume, on_point=on_point,

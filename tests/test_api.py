@@ -131,7 +131,7 @@ def test_options_from_limits_round_trips():
 def test_options_replace_and_single_shard():
     options = ExplorationOptions(max_depth=4)
     assert options.single_shard
-    sharded = options.replace(shards=2, workers=2)
+    sharded = options.replace(shards=2)
     assert not sharded.single_shard
     assert sharded.max_depth == 4
     assert options.shards == 1  # frozen: the original is untouched
@@ -146,7 +146,7 @@ def test_execution_shape_does_not_change_verdicts(booking):
         booking,
         condition,
         bound=2,
-        options=ExplorationOptions(max_depth=4, shards=2, workers=2),
+        options=ExplorationOptions(max_depth=4, shards=2),
         store=False,
     )
     assert summary(sharded) == summary(single)

@@ -305,20 +305,17 @@ def test_booking_reachability_verdict_and_witness_across_nodes():
 
 
 @needs_fork
-def test_booking_explorer_nodes_with_and_without_shm(monkeypatch):
+def test_booking_explorer_nodes_with_local_shards():
     booking = booking_agency_system()
     limits = RecencyExplorationLimits(max_depth=4)
     reference = RecencyExplorer(booking, 2, limits, retention=RETAIN_COUNTS).explore()
-    for no_shm in (False, True):
-        if no_shm:
-            monkeypatch.setenv("REPRO_NO_SHM", "1")
-        with RecencyExplorer(
-            booking, 2, limits, retention=RETAIN_COUNTS, nodes=2, workers=2
-        ) as explorer:
-            result = explorer.explore()
-        assert result.configurations == reference.configurations
-        assert result.edge_count == reference.edge_count
-        assert result.truncated == reference.truncated
+    with RecencyExplorer(
+        booking, 2, limits, retention=RETAIN_COUNTS, nodes=2, shards=2
+    ) as explorer:
+        result = explorer.explore()
+    assert result.configurations == reference.configurations
+    assert result.edge_count == reference.edge_count
+    assert result.truncated == reference.truncated
 
 
 @needs_fork

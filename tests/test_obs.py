@@ -227,14 +227,13 @@ def test_single_engine_counters_reconcile_with_result():
     assert registry.histogram("engine_explore_seconds", engine="single").count == 1
 
 
-@pytest.mark.parametrize("workers", [1, pytest.param(4, marks=needs_fork)])
-def test_sharded_folded_counters_reconcile_with_result(workers):
+@pytest.mark.parametrize("shards", [1, 4])
+def test_sharded_folded_counters_reconcile_with_result(shards):
     registry = MetricsRegistry()
     engine = ShardedEngine(
         lattice_successors,
         limits=SearchLimits(max_depth=6),
-        shards=4,
-        workers=workers,
+        shards=shards,
         metrics=registry,
     )
     result = engine.explore(Node(0))

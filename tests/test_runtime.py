@@ -2,8 +2,8 @@
 
 Covers the three runtime contracts:
 
-* **Warm pools** — worker processes survive across explorations (same
-  pids), contexts are shared under semantic keys, dead workers are
+* **Warm pools** — worker processes survive across drains and sweeps
+  (same pids), contexts are shared under semantic keys, dead workers are
   health-checked, respawned, and their in-flight tasks re-run;
 * **Scheduler determinism** — a sweep's rows are identical regardless
   of parallelism/completion order, points stream as they complete, and
@@ -19,7 +19,6 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass
 
 import pytest
 
@@ -34,7 +33,7 @@ from repro.runtime import (
     WorkerPool,
     point_key,
 )
-from repro.search import Engine, SearchLimits, ShardedEngine, process_backend_available
+from repro.search import process_backend_available
 from repro.workloads.sweeps import sweep
 
 needs_fork = pytest.mark.skipif(
@@ -43,24 +42,6 @@ needs_fork = pytest.mark.skipif(
 
 
 # -- synthetic fixtures --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Node:
-    key: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    source: Node
-    target: Node
-
-
-DAG = {0: [1, 2, 3], 1: [4], 2: [5], 3: [4], 4: [6], 5: [6]}
-
-
-def dag_successors(node: Node):
-    return [Edge(node, Node(child)) for child in DAG.get(node.key, ())]
 
 
 GRID = [{"n": n} for n in range(6)]
@@ -79,44 +60,29 @@ def slow_measure(parameters: dict) -> dict:
 
 
 @needs_fork
-def test_pooled_engine_reuses_warm_workers_across_explorations():
+def test_pool_context_reuses_warm_workers_across_drains():
     with WorkerPool(workers=2) as pool:
-        engine = ShardedEngine(
-            dag_successors,
-            limits=SearchLimits(max_depth=5),
-            shards=2,
-            workers=2,
-            pool=pool,
-            pool_key="dag",
-        )
-        assert engine.backend_name == "pooled"
-        first = engine.explore(Node(0))
-        pids = pool.worker_pids("dag")
+        context = pool.context("squares", square_measure, workers=2)
+        first = [context.submit({"n": n}) for n in range(4)]
+        assert sorted(task_id for task_id, _, _ in context.events()) == first
+        pids = pool.worker_pids("squares")
         assert len(pids) == 2
-        second = engine.explore(Node(0))
-        assert pool.worker_pids("dag") == pids  # warm: the same workers served both
-        assert pool.health_check("dag")
-        reference = Engine(dag_successors, limits=SearchLimits(max_depth=5)).explore(Node(0))
-        for merged in (first, second):
-            assert set(merged.states()) == set(reference.states())
-            assert merged.edge_count == reference.edge_count
-            assert merged.truncated == reference.truncated
+        context.submit({"n": 5})
+        assert [value for _, value, _ in context.events()] == [{"square": 25}]
+        assert pool.worker_pids("squares") == pids  # warm: the same workers served both
+        assert pool.health_check("squares")
 
 
 @needs_fork
-def test_pool_contexts_shared_across_engines_by_semantic_key():
+def test_pool_contexts_shared_across_schedulers_by_semantic_key():
     with WorkerPool(workers=2) as pool:
-        first = ShardedEngine(
-            dag_successors, shards=2, workers=2, pool=pool, pool_key=("dag", "shared")
-        )
-        second = ShardedEngine(
-            dag_successors, shards=4, workers=2, pool=pool, pool_key=("dag", "shared")
-        )
-        first.explore(Node(0))
-        pids = pool.worker_pids(("dag", "shared"))
-        second.explore(Node(0))
-        assert pool.worker_pids(("dag", "shared")) == pids
-        assert pool.keys() == (("dag", "shared"),)
+        first = SweepScheduler(parallel=2, pool=pool, context_key=("grid", "shared"))
+        second = SweepScheduler(parallel=2, pool=pool, context_key=("grid", "shared"))
+        rows = [record.as_row() for record in first.run(GRID, square_measure)]
+        pids = pool.worker_pids(("grid", "shared"))
+        assert [record.as_row() for record in second.run(GRID, square_measure)] == rows
+        assert pool.worker_pids(("grid", "shared")) == pids
+        assert pool.keys() == (("grid", "shared"),)
 
 
 @needs_fork
@@ -176,63 +142,56 @@ def test_pool_events_skip_connections_of_replaced_workers(monkeypatch):
 
 
 @needs_fork
-def test_pooled_exploration_survives_worker_killed_between_explorations():
-    system_successors = dag_successors
+def test_pool_context_survives_worker_killed_between_drains():
     with WorkerPool(workers=2) as pool:
-        engine = ShardedEngine(
-            system_successors, limits=SearchLimits(max_depth=5), shards=2, workers=2,
-            pool=pool, pool_key="kill-between",
-        )
-        reference = engine.explore(Node(0))
+        context = pool.context("kill-between", square_measure, workers=2)
+        context.submit({"n": 2})
+        assert [value for _, value, _ in context.events()] == [{"square": 4}]
         os.kill(pool.worker_pids("kill-between")[0], signal.SIGKILL)
         for _ in range(200):  # SIGKILL delivery is asynchronous
             if not pool.health_check("kill-between"):
                 break
             time.sleep(0.01)
         assert not pool.health_check("kill-between")
-        again = engine.explore(Node(0))  # expand() health-checks and respawns lazily
+        task_ids = [context.submit({"n": n}) for n in range(4)]
+        outcomes = {task_id: value for task_id, value, _ in context.events()}  # respawns lazily
         assert pool.health_check("kill-between")
-        assert set(again.states()) == set(reference.states())
-        assert again.edge_count == reference.edge_count
+        assert outcomes == {task_ids[n]: {"square": n * n} for n in range(4)}
 
 
 def test_pool_serial_fallback_is_deterministic_and_pid_free():
     with WorkerPool(workers=2, use_processes=False) as pool:
-        engine = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=5), shards=3, workers=2,
-            pool=pool, pool_key="serial",
+        context = pool.context("serial", square_measure)
+        assert isinstance(context, SerialWorkerContext)
+        records = SweepScheduler(parallel=2, pool=pool, context_key="serial").run(
+            GRID, square_measure
         )
-        assert engine.backend_name == "pooled-serial"
-        merged = engine.explore(Node(0))
-        reference = Engine(dag_successors, limits=SearchLimits(max_depth=5)).explore(Node(0))
-        assert set(merged.states()) == set(reference.states())
+        assert [record.as_row() for record in records] == [
+            {"n": n, "square": n * n} for n in range(6)
+        ]
         assert pool.worker_pids("serial") == (os.getpid(),)
 
 
 @needs_fork
-def test_failed_expansion_does_not_contaminate_next_exploration():
-    # An expansion whose successor function raises must fail cleanly AND
-    # leave the warm context reusable: the next exploration through the
-    # same context gets correct, uncontaminated results.
-    poison = Node(5)
-
-    def sometimes_failing(node: Node):
-        if node == poison:
-            raise ValueError("poisoned state")
-        return dag_successors(node)
+def test_failed_task_does_not_leak_into_next_drain():
+    # A drain in which one task raises must report that error AND leave
+    # the warm context reusable: after a reset, the next drain through
+    # the same context sees only its own, uncontaminated results.
+    def touchy(parameters: dict) -> dict:
+        if parameters["n"] < 0:
+            raise ValueError("poisoned task")
+        return {"value": parameters["n"]}
 
     with WorkerPool(workers=2) as pool:
-        engine = ShardedEngine(
-            sometimes_failing, limits=SearchLimits(max_depth=5), shards=2, workers=2,
-            pool=pool, pool_key="poisoned",
-        )
-        with pytest.raises(WorkerPoolError, match="poisoned state"):
-            engine.explore(Node(0))
-        # Same warm context, clean run on a graph that avoids the poison.
-        healthy = engine.explore(Node(1))
-        reference = Engine(dag_successors, limits=SearchLimits(max_depth=5)).explore(Node(1))
-        assert set(healthy.states()) == set(reference.states())
-        assert healthy.edge_count == reference.edge_count
+        context = pool.context("poisoned", touchy, workers=2)
+        for n in (1, -1, 2, 3):
+            context.submit({"n": n})
+        errors = [error for _, _, error in context.events() if error is not None]
+        assert len(errors) == 1 and "poisoned task" in errors[0]
+        context.reset()
+        task_ids = [context.submit({"n": n}) for n in range(4)]
+        outcomes = {task_id: (value, error) for task_id, value, error in context.events()}
+        assert outcomes == {task_ids[n]: ({"value": n}, None) for n in range(4)}
 
 
 @needs_fork
@@ -271,21 +230,6 @@ def test_serial_context_upgrades_to_processes_on_demand():
         assert next(iter(upgraded.events()))[1] == {"square": 9}
 
 
-@needs_fork
-def test_auto_keyed_backend_releases_context_on_engine_close():
-    # Without a semantic pool_key the context is tied to the engine's
-    # successor closure; closing the engine must tear its workers down
-    # instead of accumulating a warm context nothing can address again.
-    with WorkerPool(workers=2) as pool:
-        engine = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=5), shards=2, workers=2, pool=pool
-        )
-        engine.explore(Node(0))
-        assert len(pool.keys()) == 1
-        engine.close()
-        assert pool.keys() == ()
-
-
 def test_convergence_checkpoint_keys_distinguish_queries(tmp_path):
     from repro.dms.builder import DMSBuilder
     from repro.fol.parser import parse_query
@@ -316,32 +260,6 @@ def test_convergence_checkpoint_keys_distinguish_queries(tmp_path):
     )
     assert again == first
     assert second != first  # different condition, genuinely different rows
-
-
-@needs_fork
-def test_auto_keyed_contexts_are_lease_counted_across_engines():
-    # Two engines over the same successors closure (no pool_key) share
-    # one auto-keyed context; closing one must not tear down the context
-    # the other still uses — only the last close does.
-    with WorkerPool(workers=2) as pool:
-        first = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=5), shards=2, workers=2, pool=pool
-        )
-        second = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=5), shards=2, workers=2, pool=pool
-        )
-        reference = first.explore(Node(0))
-        second.explore(Node(0))
-        assert len(pool.keys()) == 1  # one shared context for the shared closure
-        first.close()
-        still_alive = second.explore(Node(0))  # the shared context must survive
-        assert set(still_alive.states()) == set(reference.states())
-        second.close()
-        assert pool.keys() == ()  # last lease dropped -> context torn down
-        # close() is idempotent and the engine can re-acquire afterwards.
-        second.close()
-        reacquired = second.explore(Node(0))
-        assert set(reacquired.states()) == set(reference.states())
 
 
 @needs_fork
@@ -638,24 +556,25 @@ def test_e9_rows_identical_sequential_vs_parallel():
 
 @needs_fork
 def test_nested_parallelism_degrades_to_serial_expansion_in_workers():
-    # A sweep point running on a daemonic scheduler worker cannot spawn
-    # its own expansion processes; the engine must detect that and fall
-    # back to serial expansion with identical results (the outer grid
-    # level already provides the parallelism).
+    # A sweep point running on a daemonic scheduler worker cannot fork
+    # a localhost node cluster; the engine must detect that and fall
+    # back to serial in-process expansion with identical results (the
+    # outer grid level already provides the parallelism).
     def nested_measure(parameters: dict) -> dict:
-        explorer = RecencyExplorer(
+        with RecencyExplorer(
             tiny_dms(), 2, RecencyExplorationLimits(max_depth=3),
-            shards=2, workers=2,  # would fork if allowed; must degrade inside a worker
-        )
-        result = explorer.explore()
+            shards=2, nodes=2,  # would fork agents if allowed; must degrade inside a worker
+        ) as explorer:
+            result = explorer.explore()
+            backend = explorer.backend_name
         return {
-            "backend": explorer.backend_name,
+            "backend": backend,
             "configurations": result.configuration_count,
             "edges": result.edge_count,
         }
 
     inline = nested_measure({})
-    assert inline["backend"] == "process"  # the main process may fork
+    assert inline["backend"] == "distributed"  # the main process may fork
     records = SweepScheduler(parallel=2).run([{"n": 0}, {"n": 1}], nested_measure)
     for record in records:
         assert record.measurements["backend"] == "serial"  # degraded, not crashed
@@ -716,29 +635,6 @@ def test_stream_experiment_returns_the_rows_it_prints(capsys):
     captured = capsys.readouterr()
     # Per-point progress lines go to stderr; stdout carries the header only.
     assert captured.err.count("[E9] point") == len(rows)
-
-
-# -- explorer integration ------------------------------------------------------
-
-
-@needs_fork
-def test_recency_explorer_with_pool_matches_plain_exploration():
-    from repro.casestudies.booking import booking_agency_system
-
-    system = booking_agency_system()
-    limits = RecencyExplorationLimits(max_depth=3)
-    reference = RecencyExplorer(system, 2, limits).explore()
-    with WorkerPool(workers=2) as pool:
-        with RecencyExplorer(system, 2, limits, shards=2, workers=2, pool=pool) as explorer:
-            assert explorer.backend_name == "pooled"
-            first = explorer.explore()
-            second = explorer.explore()
-        key = ("recency", id(system), 2)
-        assert key in pool.keys()
-        assert pool.health_check(key)
-    assert first.configurations == reference.configurations
-    assert first.edge_count == reference.edge_count
-    assert second.configurations == reference.configurations
 
 
 def test_serial_worker_context_mirrors_the_protocol():

@@ -288,6 +288,43 @@ def test_malformed_json_is_400(client):
     assert reply.status == 400
 
 
+@pytest.mark.parametrize(
+    "path,change",
+    [
+        ("/v1/reachability", {"max_depth": -3}),
+        ("/v1/reachability", {"max_depth": True}),
+        ("/v1/reachability", {"bound": 2.7}),
+        ("/v1/reachability", {"bound": "2"}),
+        ("/v1/reachability", {"max_depth": "1e9"}),
+        ("/v1/reachability", {"max_steps": None}),
+        ("/v1/reachability", {"max_configurations": 0}),
+        ("/v1/reachability", {"bound": -1}),
+        ("/v1/reachability", {"strategy": "sideways"}),
+        ("/v1/reachability", {"strategy": "best-first"}),
+        ("/v1/reachability", {"retention": "sometimes"}),
+        ("/v1/reachability", {"timeout": "soon"}),
+        ("/v1/convergence", {"bounds": [0, -1]}),
+        ("/v1/convergence", {"bounds": [1.5]}),
+        ("/v1/convergence", {"bounds": 3}),
+    ],
+)
+def test_malformed_knobs_are_400_without_internals(client, path, change):
+    reply = client.post(path, json_body={**QUERY, **change})
+    assert reply.status == 400
+    assert reply.json()["kind"] == "ServiceError"
+    body = reply.body.decode("utf-8")
+    for leak in ("gASV", "sweep point", "Traceback"):
+        assert leak not in body
+
+
+def test_large_budgets_are_accepted(client):
+    # Validation sets minimums only; budgets are not capped at the edge.
+    payload = {**QUERY, "max_depth": 2, "max_configurations": 1_000_000, "stream": True}
+    reply = client.post("/v1/reachability", json_body=payload)
+    assert reply.status == 200
+    assert reply.events()[-1][0] == "final"
+
+
 # -- convergence ---------------------------------------------------------------
 
 

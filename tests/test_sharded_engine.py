@@ -3,11 +3,11 @@
 The central contract: the merged :class:`~repro.search.SearchResult` of a
 k-shard exploration is bit-identical to the single-shard breadth-first
 engine's on the visited set, edge counts, truncation flags, verdicts and
-reconstructed witnesses — for every shard count, retention mode and
-expansion backend.  Also covers the associativity and truncation
-semantics of :meth:`SearchResult.merge`, the tail-half stealing policy
-of :class:`ShardFrontiers`, and the multiprocessing backend (where the
-platform supports fork).
+reconstructed witnesses — for every shard count and retention mode.
+Also covers the associativity and truncation semantics of
+:meth:`SearchResult.merge`, the tail-half stealing policy of
+:class:`ShardFrontiers`, and the engine-lifetime node cluster of
+``nodes > 1`` (where the platform supports fork).
 
 Set ``REPRO_TEST_SHARDS`` to add a shard count to the determinism matrix
 (used by the CI sharded matrix job).
@@ -387,7 +387,7 @@ def test_shard_frontiers_steal_at_least_one_entry():
     assert len(frontiers) == 0
 
 
-# -- backends ------------------------------------------------------------------
+# -- parameters and engine lifecycle ------------------------------------------
 
 
 def test_sharded_engine_rejects_non_bfs_and_bad_parameters():
@@ -397,33 +397,35 @@ def test_sharded_engine_rejects_non_bfs_and_bad_parameters():
     with pytest.raises(SearchError):
         ShardedEngine(successors, shards=0)
     with pytest.raises(SearchError):
-        ShardedEngine(successors, workers=0)
+        ShardedEngine(successors, nodes=0)
     with pytest.raises(SearchError):
         ShardedEngine(successors, batch_size=0)
     with pytest.raises(SearchError):
         ShardedEngine(successors, retention="sometimes")
 
 
+def _agent_pids(engine: ShardedEngine) -> tuple[int, ...]:
+    return tuple(handle.pid for handle in engine._distributed()._coordinator.handles)
+
+
 @pytest.mark.skipif(not process_backend_available(), reason="fork start method unavailable")
 def test_engine_reuses_worker_pids_across_explorations():
-    # Regression for the per-call overhead bug: the process pool used to
-    # be created and destroyed inside every explore() call.  Backend
-    # lifetime is now the engine's lifetime, so two successive
-    # explorations must be served by the *same* worker processes.
+    # The node cluster is engine-lifetime state: two successive
+    # explorations must be served by the *same* agent processes.
     engine = ShardedEngine(
-        graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=2, workers=2
+        graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=2, nodes=2
     )
     try:
         first = engine.explore(Node(0))
-        pids_first = engine._backend().worker_pids()
+        pids_first = _agent_pids(engine)
         second = engine.explore(Node(0))
-        pids_second = engine._backend().worker_pids()
+        pids_second = _agent_pids(engine)
         assert pids_first == pids_second and len(pids_first) == 2
         assert set(first.states()) == set(second.states())
         assert first.edge_count == second.edge_count
     finally:
         engine.close()
-    # close() releases the backend; the next exploration builds a fresh one.
+    # close() releases the cluster; the next exploration launches a fresh one.
     third = engine.explore(Node(0))
     assert set(third.states()) == set(first.states())
     engine.close()
@@ -432,44 +434,19 @@ def test_engine_reuses_worker_pids_across_explorations():
 @pytest.mark.skipif(not process_backend_available(), reason="fork start method unavailable")
 def test_engine_context_manager_closes_backend():
     with ShardedEngine(
-        graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=2, workers=2
+        graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=2, nodes=2
     ) as engine:
         engine.explore(Node(0))
-        assert engine._backend_instance is not None
-    assert engine._backend_instance is None
+        assert engine._distributed_instance is not None
+    assert engine._distributed_instance is None
 
 
-@pytest.mark.skipif(not process_backend_available(), reason="fork start method unavailable")
-def test_process_backend_matches_serial_backend():
-    system = tiny_system()
-    initial = initial_recency_configuration(system)
-    limits = SearchLimits(max_depth=4)
-    explorer = RecencyExplorer(
-        system, 2, RecencyExplorationLimits(max_depth=4), retention=RETAIN_PARENTS
-    )
-    reference = Engine(
-        _recency_successors(system, 2), limits=limits, retention=RETAIN_PARENTS
-    ).explore(initial)
-    parallel = ShardedEngine(
-        _recency_successors(system, 2),
-        limits=limits,
-        shards=2,
-        workers=2,
-        retention=RETAIN_PARENTS,
-        batch_size=4,
-    )
-    assert parallel.backend_name == "process"
-    merged = parallel.explore(initial)
-    assert_results_identical(reference, merged)
-    assert explorer.explore().configuration_count == merged.state_count
-
-
-@pytest.mark.parametrize("shards,workers", [(2, 1), (3, 1)])
-def test_explorer_adapters_route_through_sharded_engine(shards, workers):
+@pytest.mark.parametrize("shards,nodes", [(2, 1), (3, 1)])
+def test_explorer_adapters_route_through_sharded_engine(shards, nodes):
     system = tiny_system()
     baseline = RecencyExplorer(system, 2, RecencyExplorationLimits(max_depth=4))
     sharded = RecencyExplorer(
-        system, 2, RecencyExplorationLimits(max_depth=4), shards=shards, workers=workers
+        system, 2, RecencyExplorationLimits(max_depth=4), shards=shards, nodes=nodes
     )
     assert isinstance(sharded._engine(), ShardedEngine)
     reference = baseline.explore()
@@ -477,3 +454,11 @@ def test_explorer_adapters_route_through_sharded_engine(shards, workers):
     assert merged.configurations == reference.configurations
     assert merged.edge_count == reference.edge_count
     assert merged.truncated == reference.truncated
+
+
+def test_shard_scaling_sweep_points_explore_the_same_fragment():
+    from repro.workloads.sweeps import shard_scaling_sweep
+
+    rows = [point.measurements for point in shard_scaling_sweep(tiny_system(), 2, max_depth=4)]
+    assert [row["backend"] for row in rows] == ["in-process", "serial", "serial"]
+    assert len({(row["configurations"], row["edges"], row["truncated"]) for row in rows}) == 1

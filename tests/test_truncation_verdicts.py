@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExplorationOptions, run_reachability
+from repro.casestudies.booking import booking_agency_system
 from repro.dms.builder import DMSBuilder
+from repro.fol.parser import parse_query
 from repro.dms.graph import ExplorationLimits
 from repro.modelcheck.reachability import query_reachable, query_reachable_bounded
 from repro.modelcheck.result import Verdict
 from repro.recency.explorer import RecencyExplorationLimits
+from repro.search import process_backend_available
 
 
 @pytest.fixture(scope="module")
@@ -127,4 +131,35 @@ def test_witness_on_the_truncating_successor_still_holds(two_step_system):
 def test_depth_limited_exploration_reports_unknown(two_step_system):
     # Horizon effect: the graph continues past the depth limit.
     result = query_reachable(two_step_system, "goal", max_depth=1)
+    assert result.reachable is Verdict.UNKNOWN
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {},
+        {"shards": 2},
+        pytest.param(
+            {"nodes": 2},
+            marks=pytest.mark.skipif(
+                not process_backend_available(), reason="requires the fork start method"
+            ),
+        ),
+    ],
+    ids=["single-shard", "2-shard", "2-node"],
+)
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_configuration_limit_counts_the_root(shape, limit):
+    # The limit is checked once after the root is interned, so an
+    # exploration never holds more than max_configurations states —
+    # max_configurations=1 explores the root alone.
+    never = parse_query("Exists x. BAccepted(x) & BCanceled(x)")
+    result = run_reachability(
+        booking_agency_system(),
+        never,
+        bound=2,
+        options=ExplorationOptions(max_depth=7, max_configurations=limit, **shape),
+        store=False,
+    )
+    assert result.configurations_explored == limit
     assert result.reachable is Verdict.UNKNOWN
